@@ -7,49 +7,15 @@
 //! ratios, and crossovers.
 //!
 //! ```text
-//! repro all [--quick] [--seed N]
+//! repro all [--quick] [--full] [--seed N] [--reps N]
 //! repro table2 | table3 | table4 | fig2 | fig3 | fig4 | fig5 | fig6
-//! repro ablation-sampling | ablation-cc | ablation-bfs
-//! repro reorder              # locality-engine exhibit: kernel timings under
-//!                            # degree / RCM / shuffle vertex reorderings
-//!                            # (BENCH_REORDER.json)
-//! repro triangles            # triadic-engine exhibit: forward merge counter
-//!                            # oracle-gated bit-identical against the naive
-//!                            # sorted-intersection counter, then timed across
-//!                            # degree / RCM / shuffle orderings; edges/sec
-//!                            # throughput (BENCH_TRIANGLES.json)
-//! repro msbfs                # bit-parallel multi-source BFS exhibit: batch
-//!                            # 1/8/64 eccentricity sweeps vs the per-source
-//!                            # rayon baseline, oracle-checked before timing
-//!                            # (BENCH_MSBFS.json)
-//! repro trace-bfs            # ablation-bfs with per-level telemetry +
-//!                            # disabled-overhead proof (BENCH_TRACE_OVERHEAD.json)
-//! repro obs-overhead         # introspection-plane disabled-path proof: the
-//!                            # histogram/watchdog-instrumented kernels vs the
-//!                            # uninstrumented seed, paired-ratio methodology,
-//!                            # budget 2 % (BENCH_OBS_OVERHEAD.json)
-//! repro serve-load           # query-plane load test: concurrent clients
-//!                            # hammer the /v1/* endpoints of an in-process
-//!                            # live-ingest serve instance, oracle-gated
-//!                            # against offline kernel recomputes on the same
-//!                            # frozen epoch; latency percentiles + snapshot-
-//!                            # refresh cost (BENCH_SERVE.json); the full run
-//!                            # must sustain >= 100 queries/sec
+//! repro ablation-sampling    # uniform vs component-stratified sources
 //! repro trace-validate FILE  # check a JSON-lines trace against the schema
-//! repro check-regress        # compare the latest BENCH_HISTORY.jsonl run of
-//!                            # each case against the median of its earlier
-//!                            # runs; exit 1 on a >10 % slowdown, and print
-//!                            # p50/p99 columns for series that carry them
 //! ```
 //!
-//! Timing exhibits (fig4, fig6, the ablations, trace-bfs) append their
-//! per-case means to `BENCH_HISTORY.jsonl` (git SHA + timestamp per
-//! record) so regressions surface across runs, not just within one.
-//!
-//! fig6 additionally runs the storage-backend scale sweep: R-MAT graphs
-//! across 3+ decades of |V|*|E| traversed through the plain, mmap, and
-//! compressed backends, oracle-gated for bit-identical kernels before
-//! timing, with the compression ratio recorded (`BENCH_SCALE.json`).
+//! Exhibits only print; they write no files.  Performance of the
+//! toolkit's layers is measured by the committed benchmark
+//! (`BENCHMARK.json`, `bash benchmark/run.sh`), not here.
 //!
 //! `--quick` shrinks the synthetic datasets and repetition counts for a
 //! smoke run; the default sizes mirror the paper (sep1 runs at 20 % of
@@ -64,7 +30,6 @@ use graphct_core::CsrGraph;
 use graphct_kernels::betweenness::{
     betweenness_centrality, BetweennessConfig, SamplingSpec, SamplingStrategy,
 };
-use graphct_kernels::components::{connected_components, sequential_components, ComponentSummary};
 use graphct_metrics::{fit_power_law, top_k_indices, top_k_overlap};
 use graphct_twitter::conversations::mutual_mention_filter;
 use graphct_twitter::users::{ATLFLOOD_HUBS, H1N1_HUBS};
@@ -112,7 +77,7 @@ impl Options {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: repro <all|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablation-sampling|ablation-cc|ablation-bfs|reorder|triangles|msbfs|trace-bfs|obs-overhead|prof-overhead|serve-load|trace-validate FILE|check-regress> [--quick] [--full] [--seed N] [--reps N]");
+        eprintln!("usage: repro <all|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablation-sampling|trace-validate FILE> [--quick] [--full] [--seed N] [--reps N]");
         std::process::exit(2);
     }
     let cmd = args.remove(0);
@@ -142,17 +107,7 @@ fn main() {
         "fig5" => fig5(opts),
         "fig6" => fig6(opts),
         "ablation-sampling" => ablation_sampling(opts),
-        "ablation-cc" => ablation_cc(opts),
-        "ablation-bfs" => ablation_bfs(opts),
-        "reorder" => reorder_exhibit(opts),
-        "triangles" => triangles_exhibit(opts),
-        "msbfs" => msbfs_exhibit(opts),
-        "trace-bfs" => trace_bfs(opts),
-        "obs-overhead" => obs_overhead(opts),
-        "prof-overhead" => prof_overhead(opts),
-        "serve-load" => serve_load(opts),
         "trace-validate" => trace_validate(&args),
-        "check-regress" => check_regress(),
         "all" => {
             table2(opts);
             table3(opts);
@@ -163,11 +118,6 @@ fn main() {
             fig5(opts);
             fig6(opts);
             ablation_sampling(opts);
-            ablation_cc(opts);
-            ablation_bfs(opts);
-            reorder_exhibit(opts);
-            triangles_exhibit(opts);
-            msbfs_exhibit(opts);
         }
         other => {
             eprintln!("unknown exhibit '{other}'");
@@ -195,74 +145,6 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<u64> {
 
 fn banner(title: &str) {
     println!("\n==== {title} ====");
-}
-
-/// Append one ledger record per `(case, mean_s)` to
-/// `BENCH_HISTORY.jsonl`.  Best-effort: a read-only working directory
-/// degrades to a warning, not a failed exhibit.
-fn record_history(opts: Options, bench: &str, cases: &[(String, f64)]) {
-    use graphct_bench::history;
-    let entries: Vec<history::HistoryEntry> = cases
-        .iter()
-        .map(|(case, mean)| history::HistoryEntry::now(bench, case, opts.quick, *mean))
-        .collect();
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &entries) {
-        Ok(()) => println!(
-            "appended {} records to {}",
-            entries.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
-    }
-}
-
-/// `repro check-regress`: fail when the latest run of any ledger case is
-/// more than 10 % slower than the median of its earlier runs.
-fn check_regress() {
-    use graphct_bench::history;
-    let path = std::path::Path::new(history::DEFAULT_PATH);
-    if !path.exists() {
-        println!("{}: no ledger yet, nothing to check", history::DEFAULT_PATH);
-        return;
-    }
-    let (entries, skipped) = match history::load(path) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", history::DEFAULT_PATH);
-            std::process::exit(1);
-        }
-    };
-    if skipped > 0 {
-        eprintln!("warning: skipped {skipped} unparseable ledger lines");
-    }
-    let quantile_rows = history::latest_quantiles(&entries);
-    if !quantile_rows.is_empty() {
-        println!("series with latency quantiles (latest run):");
-        for row in &quantile_rows {
-            println!("  {}", row.render());
-        }
-    }
-    let regressions = history::check(&entries);
-    if regressions.is_empty() {
-        println!(
-            "{} ledger records: no case regressed more than {:.0}% against its median",
-            entries.len(),
-            history::REGRESSION_THRESHOLD_PCT
-        );
-        return;
-    }
-    for r in &regressions {
-        eprintln!(
-            "REGRESSION {} / {}{}: median {:.4}s -> latest {:.4}s ({:+.1}%)",
-            r.bench,
-            r.case,
-            if r.quick { " (quick)" } else { "" },
-            r.baseline_median_s,
-            r.latest_s,
-            r.delta_pct
-        );
-    }
-    std::process::exit(1);
 }
 
 // ---------------------------------------------------------------- Table II
@@ -470,7 +352,6 @@ fn fig4(opts: Options) {
         "ci90 s",
         "speedup vs exact",
     ]);
-    let mut history = Vec::new();
     for profile in DatasetProfile::all() {
         let name = profile.name;
         let stats = build_dataset(profile, opts.exact_bc_scale_for(name), opts.seed);
@@ -490,7 +371,6 @@ fn fig4(opts: Options) {
             if pct == 100 {
                 exact_mean = Some(summary.mean);
             }
-            history.push((format!("{name}/{pct}pct"), summary.mean));
             t.row(&[
                 name.to_string(),
                 pct.to_string(),
@@ -501,7 +381,6 @@ fn fig4(opts: Options) {
         }
     }
     t.print();
-    record_history(opts, "fig4", &history);
     println!(
         "paper (all-Sep-2009 graph): 30 s at 10% sampling vs ~49 min exact — \
          expect near-linear growth in sampling %"
@@ -590,7 +469,6 @@ fn fig6(opts: Options) {
     series.sort_by_key(|(_, g)| g.num_vertices() as u128 * g.num_arcs() as u128);
     let mut t = Table::new(&["graph", "vertices", "edges", "|V|*|E|", "time s (256 src)"]);
     let mut points: Vec<(f64, f64)> = Vec::new();
-    let mut history = Vec::new();
     for (name, g) in &series {
         let reps = opts.reps.min(3);
         let summary = time_repeated(reps, |r| {
@@ -599,7 +477,6 @@ fn fig6(opts: Options) {
         });
         let size = g.num_vertices() as f64 * g.num_edges() as f64;
         points.push((size, summary.mean));
-        history.push((name.clone(), summary.mean));
         t.row(&[
             name.clone(),
             n(g.num_vertices()),
@@ -609,7 +486,6 @@ fn fig6(opts: Options) {
         ]);
     }
     t.print();
-    record_history(opts, "fig6", &history);
     // Log-log slope across the R-MAT sweep: the paper's Fig. 6 shows
     // runtime growing smoothly with |V|*|E|.
     if points.len() >= 2 {
@@ -619,234 +495,6 @@ fn fig6(opts: Options) {
             let slope = (y1 / y0).log10() / (x1 / x0).log10();
             println!("log-log growth exponent over the upper half: {slope:.2} (paper shape: smooth sub-linear growth in |V|*|E| at fixed source count)");
         }
-    }
-    fig6_scale_sweep(opts);
-}
-
-/// Oracle gate for one backend at one scale: hybrid BFS levels from
-/// every source and the component labeling must be bit-identical to the
-/// plain-CSR results.  Any mismatch aborts the exhibit — timing a wrong
-/// backend is worse than no timing.
-fn gate_backend<G: graphct_core::GraphView>(
-    g: &G,
-    label: &str,
-    scale: u32,
-    sources: &[u32],
-    want_levels: &[Vec<u32>],
-    want_colors: &[u32],
-) {
-    use graphct_kernels::bfs::HybridBfs;
-    let engine = HybridBfs::new(g);
-    for (&src, want) in sources.iter().zip(want_levels) {
-        let got = engine.levels(src);
-        if &got != want {
-            eprintln!("ORACLE FAILURE: scale {scale} backend {label}: BFS levels from {src} diverge from plain CSR");
-            std::process::exit(1);
-        }
-    }
-    if connected_components(g) != want_colors {
-        eprintln!(
-            "ORACLE FAILURE: scale {scale} backend {label}: component labels diverge from plain CSR"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Mean seconds for (hybrid BFS over `sources`, connected components)
-/// on one backend.
-fn time_backend<G: graphct_core::GraphView>(g: &G, sources: &[u32], reps: usize) -> (f64, f64) {
-    use graphct_kernels::bfs::HybridBfs;
-    let bfs = time_repeated(reps, |_| {
-        let engine = HybridBfs::new(g);
-        for &s in sources {
-            std::hint::black_box(engine.levels(s));
-        }
-    });
-    let cc = time_repeated(reps, |_| {
-        std::hint::black_box(connected_components(g));
-    });
-    (bfs.mean, cc.mean)
-}
-
-/// The storage-backend scale sweep (`BENCH_SCALE.json`): R-MAT graphs
-/// over 3+ decades of |V|*|E|, each run through the plain heap CSR, the
-/// zero-copy mmap view, and the delta-encoded compressed CSR.  Kernel
-/// equivalence is oracle-gated per scale before any timing, and the
-/// compression ratio against the plain binary file is recorded.
-fn fig6_scale_sweep(opts: Options) {
-    use graphct_core::{CompressedCsr, MmapCsr};
-    use graphct_kernels::bfs::sequential_bfs_levels;
-
-    banner("Fig. 6 extension — runtime vs scale across storage backends");
-    let scales: &[u32] = if opts.quick {
-        &[12, 14]
-    } else if opts.full {
-        &[16, 18, 20, 22]
-    } else {
-        &[12, 14, 16, 18]
-    };
-    let tmp = std::env::temp_dir().join(format!("graphct_scale_{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&tmp) {
-        eprintln!("cannot create {}: {e}", tmp.display());
-        return;
-    }
-    let reps = opts.reps.clamp(1, 3);
-    let mut t = Table::new(&[
-        "scale",
-        "vertices",
-        "arcs",
-        "|V|*|E|",
-        "backend",
-        "bfs s",
-        "cc s",
-        "bytes",
-        "vs plain bin",
-    ]);
-    let mut rows: Vec<String> = Vec::new();
-    let mut history: Vec<(String, f64)> = Vec::new();
-    let mut trend: Vec<(f64, f64)> = Vec::new();
-    let mut ratio_ok_18plus = true;
-    for &scale in scales {
-        let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-        let plain = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-        let path = tmp.join(format!("rmat{scale}.bin"));
-        if let Err(e) = graphct_core::io::binary::save(&plain, &path) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return;
-        }
-        let mapped = match MmapCsr::open(&path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("cannot map {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let compressed = CompressedCsr::from_view(&plain);
-
-        // Oracle gate: spread sources, sequential oracle once, then every
-        // backend (including plain itself) must reproduce it exactly.
-        let nv = plain.num_vertices() as u32;
-        let stride = (nv / 4).max(1);
-        let sources: Vec<u32> = (0..4u32).map(|i| (i * stride) % nv.max(1)).collect();
-        let want_levels: Vec<Vec<u32>> = sources
-            .iter()
-            .map(|&s| sequential_bfs_levels(&plain, s))
-            .collect();
-        let want_colors = connected_components(&plain);
-        gate_backend(&plain, "plain", scale, &sources, &want_levels, &want_colors);
-        gate_backend(&mapped, "mmap", scale, &sources, &want_levels, &want_colors);
-        gate_backend(
-            &compressed,
-            "compressed",
-            scale,
-            &sources,
-            &want_levels,
-            &want_colors,
-        );
-        println!(
-            "scale {scale}: oracle gate passed (4-source hybrid BFS + components bit-identical on plain/mmap/compressed)"
-        );
-
-        let plain_bin_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let compressed_bytes = compressed.memory_bytes() as u64;
-        let ratio = compressed_bytes as f64 / plain_bin_bytes.max(1) as f64;
-        if scale >= 18 && ratio > 2.0 / 3.0 {
-            ratio_ok_18plus = false;
-        }
-        let vxe = plain.num_vertices() as f64 * plain.num_edges() as f64;
-
-        let mut backend_json = Vec::new();
-        let timed: [(&str, (f64, f64), u64); 3] = [
-            (
-                "plain",
-                time_backend(&plain, &sources, reps),
-                plain_bin_bytes,
-            ),
-            (
-                "mmap",
-                time_backend(&mapped, &sources, reps),
-                mapped.file_bytes() as u64,
-            ),
-            (
-                "compressed",
-                time_backend(&compressed, &sources, reps),
-                compressed_bytes,
-            ),
-        ];
-        for (label, (bfs_s, cc_s), bytes) in timed {
-            t.row(&[
-                scale.to_string(),
-                n(plain.num_vertices()),
-                n(plain.num_arcs()),
-                format!("{vxe:.2e}"),
-                label.to_string(),
-                f(bfs_s, 4),
-                f(cc_s, 4),
-                bytes.to_string(),
-                format!("{:.2}", bytes as f64 / plain_bin_bytes.max(1) as f64),
-            ]);
-            history.push((format!("s{scale}/{label}/bfs"), bfs_s));
-            history.push((format!("s{scale}/{label}/components"), cc_s));
-            backend_json.push(format!(
-                "{{\"backend\": \"{label}\", \"bfs_s\": {bfs_s:.6}, \"components_s\": {cc_s:.6}, \"bytes\": {bytes}}}"
-            ));
-            if label == "plain" {
-                trend.push((vxe, bfs_s));
-            }
-        }
-        rows.push(format!(
-            "    {{\"scale\": {scale}, \"vertices\": {}, \"arcs\": {}, \"vxe\": {vxe:.4e}, \
-             \"plain_bin_bytes\": {plain_bin_bytes}, \"compressed_bytes\": {compressed_bytes}, \
-             \"compressed_ratio\": {ratio:.4}, \"oracle_gated\": true, \"backends\": [{}]}}",
-            plain.num_vertices(),
-            plain.num_arcs(),
-            backend_json.join(", ")
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-    std::fs::remove_dir(&tmp).ok();
-    t.print();
-    record_history(opts, "fig6_scale", &history);
-
-    // Runtime-vs-size trend over the sweep (plain backend, BFS): the
-    // decades covered and the log-log slope.
-    let decades = if trend.len() >= 2 {
-        (trend.last().unwrap().0 / trend[0].0).log10()
-    } else {
-        0.0
-    };
-    let slope = if trend.len() >= 2 {
-        let (x0, y0) = trend[0];
-        let (x1, y1) = *trend.last().unwrap();
-        if x1 > x0 && y0 > 0.0 {
-            (y1 / y0).log10() / (x1 / x0).log10()
-        } else {
-            0.0
-        }
-    } else {
-        0.0
-    };
-    println!(
-        "|V|*|E| span: {decades:.1} decades; plain-BFS log-log growth exponent {slope:.2}; \
-         compression ratio bound (<= 2/3 at scale 18+): {}",
-        if ratio_ok_18plus { "ok" } else { "VIOLATED" }
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"fig6_scale\",\n  \"quick\": {},\n  \"full\": {},\n  \"seed\": {},\n  \
-         \"reps\": {reps},\n  \"bfs_sources_per_run\": 4,\n  \"scales\": {:?},\n  \
-         \"vxe_decades\": {decades:.2},\n  \"plain_bfs_loglog_slope\": {slope:.4},\n  \
-         \"compressed_ratio_ok_18plus\": {ratio_ok_18plus},\n  \"results\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        opts.full,
-        opts.seed,
-        scales,
-        rows.join(",\n")
-    );
-    let out = "BENCH_SCALE.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
     }
 }
 
@@ -893,1754 +541,7 @@ fn ablation_sampling(opts: Options) {
     t.print();
 }
 
-// ----------------------------------------------------------- Ablation: CC
-
-fn ablation_cc(opts: Options) {
-    banner("Ablation — parallel label-prop components vs sequential BFS labeling");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let g = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let par = connected_components(&g);
-    let seq = sequential_components(&g);
-    assert_eq!(par, seq, "algorithms must agree");
-    let t_par = time_repeated(opts.reps.min(5), |_| {
-        std::hint::black_box(connected_components(&g));
-    });
-    let t_seq = time_repeated(opts.reps.min(5), |_| {
-        std::hint::black_box(sequential_components(&g));
-    });
-    let mut t = Table::new(&["algorithm", "mean s", "ci90 s"]);
-    t.row(&[
-        "parallel hook+compress".into(),
-        f(t_par.mean, 4),
-        f(t_par.ci90, 4),
-    ]);
-    t.row(&["sequential BFS".into(), f(t_seq.mean, 4), f(t_seq.ci90, 4)]);
-    t.print();
-    record_history(
-        opts,
-        "ablation_cc",
-        &[
-            ("parallel_hook_compress".to_string(), t_par.mean),
-            ("sequential_bfs".to_string(), t_seq.mean),
-        ],
-    );
-    println!(
-        "R-MAT scale {scale}: {} components over {} vertices",
-        ComponentSummary::from_colors(par).num_components(),
-        g.num_vertices()
-    );
-}
-
-// ---------------------------------------------------------- Ablation: BFS
-
-/// Direction-optimizing BFS ablation: queue baseline vs forced push,
-/// forced pull, and the adaptive hybrid, on the low-diameter social
-/// shapes (R-MAT, broadcast forest) and a high-diameter path control.
-/// Results land in `BENCH_BFS_DIRECTION.json` in the working directory.
-fn ablation_bfs(opts: Options) {
-    use graphct_kernels::bfs::{BfsConfig, FrontierKind, HybridBfs};
-
-    banner("Ablation — BFS direction optimization (queue vs push vs pull vs hybrid)");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    // One giant broadcast tree: BFS benchmarks traverse the component
-    // under test (the forest's other trees are correctness territory,
-    // covered by the equivalence suite, not timing territory).
-    let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
-        hubs: 1,
-        fanout: if opts.quick { 2_000 } else { 20_000 },
-        decay: 0.001,
-        max_depth: 4,
-    };
-    let (hub_edges, _) = graphct_gen::broadcast::broadcast_forest(&hub_cfg, opts.seed);
-    let hub = build_undirected_simple(&hub_edges).unwrap();
-    let path_n = if opts.quick { 50_000 } else { 200_000 };
-    let path = build_undirected_simple(&graphct_gen::classic::path(path_n)).unwrap();
-
-    let graphs: [(&str, &CsrGraph); 3] = [
-        ("rmat (low diameter)", &rmat),
-        ("broadcast-hub (low diameter)", &hub),
-        ("path (high diameter)", &path),
-    ];
-    let kinds = [
-        FrontierKind::Queue,
-        FrontierKind::Push,
-        FrontierKind::Pull,
-        FrontierKind::Hybrid,
-    ];
-
-    let mut t = Table::new(&["graph", "frontier", "mean s", "ci90 s", "edges inspected"]);
-    let mut entries = Vec::new();
-    let mut means: Vec<(String, FrontierKind, f64)> = Vec::new();
-    for (gname, graph) in graphs {
-        for kind in kinds {
-            let engine = HybridBfs::with_config(graph, BfsConfig::from_kind(kind));
-            // Pull-only on the high-diameter path is the designed-in
-            // pathological cell (O(n) levels, each scanning every
-            // unvisited vertex) — one repetition makes the point.
-            let reps = if kind == FrontierKind::Pull && gname.contains("high") {
-                1
-            } else {
-                opts.reps.min(5)
-            };
-            let summary = time_repeated(reps, |r| {
-                let src = (r as u32 * 37) % graph.num_vertices() as u32;
-                std::hint::black_box(engine.levels(src));
-            });
-            let inspected = engine.run(0).edges_inspected;
-            t.row(&[
-                gname.into(),
-                format!("{kind:?}"),
-                f(summary.mean, 4),
-                f(summary.ci90, 4),
-                n(inspected),
-            ]);
-            entries.push(format!(
-                "    {{\"graph\": \"{gname}\", \"vertices\": {}, \"edges\": {}, \"frontier\": \"{kind:?}\", \"reps\": {reps}, \"mean_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}, \"edges_inspected\": {inspected}}}",
-                graph.num_vertices(),
-                graph.num_edges(),
-                summary.mean,
-                summary.std_dev,
-                summary.ci90,
-            ));
-            means.push((gname.to_string(), kind, summary.mean));
-        }
-    }
-    t.print();
-    let history: Vec<(String, f64)> = means
-        .iter()
-        .map(|(gname, kind, mean)| (format!("{gname}/{kind:?}"), *mean))
-        .collect();
-    record_history(opts, "ablation_bfs", &history);
-
-    // Headline ratios: adaptive hybrid vs the legacy queue sweep.
-    let mut speedups = Vec::new();
-    for (gname, _) in graphs {
-        let time_of = |k: FrontierKind| {
-            means
-                .iter()
-                .find(|(g, kind, _)| g == gname && *kind == k)
-                .map(|(_, _, m)| *m)
-                .unwrap()
-        };
-        let ratio = time_of(FrontierKind::Queue) / time_of(FrontierKind::Hybrid).max(1e-12);
-        println!("{gname}: hybrid is {ratio:.2}x the queue baseline");
-        speedups.push(format!(
-            "    {{\"graph\": \"{gname}\", \"hybrid_vs_queue\": {ratio:.4}}}"
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"bfs_direction_ablation\",\n  \"alpha\": {},\n  \"beta\": {},\n  \"reps\": {},\n  \"quick\": {},\n  \"seed\": {},\n  \"results\": [\n{}\n  ],\n  \"speedups\": [\n{}\n  ]\n}}\n",
-        graphct_kernels::bfs::DEFAULT_ALPHA,
-        graphct_kernels::bfs::DEFAULT_BETA,
-        opts.reps.min(5),
-        opts.quick,
-        opts.seed,
-        entries.join(",\n"),
-        speedups.join(",\n"),
-    );
-    let out = "BENCH_BFS_DIRECTION.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-}
-
-// -------------------------------------------------------- Trace: BFS
-
-/// Outcome of one interleaved A/B instrumentation ablation.
-struct AbOverhead {
-    seed: graphct_bench::timing::TimingSummary,
-    inst: graphct_bench::timing::TimingSummary,
-    seed_min: f64,
-    inst_min: f64,
-    /// Per-arm latency quantiles over the raw samples (p50, p99).
-    seed_p50: f64,
-    seed_p99: f64,
-    inst_p50: f64,
-    inst_p99: f64,
-    /// Headline: median of the paired per-rep ratios, as a percentage.
-    overhead_pct: f64,
-    min_overhead_pct: f64,
-    mean_overhead_pct: f64,
-    reps: usize,
-}
-
-/// Nearest-rank quantile over an unsorted sample set.
-fn sample_quantile(samples: &[f64], q: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
-/// Time `seed_arm` against `inst_arm` over `reps` interleaved pairs.
-///
-/// The two arms of a pair run back to back, alternating which goes
-/// first, so scheduler and frequency drift hit both and cancel in the
-/// per-pair ratio; the median ratio throws away the bursts that corrupt
-/// a mean (or, when a burst spans a whole arm, even a min).  Min and
-/// mean comparisons are computed alongside for the report.
-fn ab_overhead(reps: usize, seed_arm: &mut dyn FnMut(), inst_arm: &mut dyn FnMut()) -> AbOverhead {
-    use std::time::Instant;
-
-    let time_one = |run: &mut dyn FnMut()| {
-        let t = Instant::now();
-        run();
-        t.elapsed().as_secs_f64()
-    };
-    let mut seed_samples = Vec::with_capacity(reps);
-    let mut inst_samples = Vec::with_capacity(reps);
-    for r in 0..reps {
-        if r % 2 == 0 {
-            seed_samples.push(time_one(seed_arm));
-            inst_samples.push(time_one(inst_arm));
-        } else {
-            inst_samples.push(time_one(inst_arm));
-            seed_samples.push(time_one(seed_arm));
-        }
-    }
-    ab_from_samples(&seed_samples, &inst_samples)
-}
-
-/// Reduce two paired sample sets to the [`AbOverhead`] statistics (the
-/// tail of [`ab_overhead`], split out so exhibits that need arm setup
-/// outside the timed region — like the sampler start/stop in
-/// `prof-overhead` — can run their own pairing loop).
-fn ab_from_samples(seed_samples: &[f64], inst_samples: &[f64]) -> AbOverhead {
-    use graphct_bench::timing::TimingSummary;
-
-    let reps = seed_samples.len();
-    let seed = TimingSummary::from_samples(seed_samples);
-    let inst = TimingSummary::from_samples(inst_samples);
-    let min_of = |s: &[f64]| s.iter().copied().fold(f64::INFINITY, f64::min);
-    let seed_min = min_of(seed_samples);
-    let inst_min = min_of(inst_samples);
-    let mut ratios: Vec<f64> = seed_samples
-        .iter()
-        .zip(inst_samples)
-        .map(|(s, i)| i / s)
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median_ratio = ratios[ratios.len() / 2];
-    AbOverhead {
-        overhead_pct: (median_ratio - 1.0) * 100.0,
-        min_overhead_pct: (inst_min / seed_min - 1.0) * 100.0,
-        mean_overhead_pct: (inst.mean / seed.mean - 1.0) * 100.0,
-        seed,
-        inst,
-        seed_min,
-        inst_min,
-        seed_p50: sample_quantile(seed_samples, 0.5),
-        seed_p99: sample_quantile(seed_samples, 0.99),
-        inst_p50: sample_quantile(inst_samples, 0.5),
-        inst_p99: sample_quantile(inst_samples, 0.99),
-        reps,
-    }
-}
-
-/// Names for the two arms of an A/B comparison: table row labels, JSON
-/// object keys, and the word naming what the overhead *is* in the
-/// verdict line.
-struct ArmLabels {
-    a: &'static str,
-    b: &'static str,
-    json_a: &'static str,
-    json_b: &'static str,
-    what: &'static str,
-}
-
-/// `trace-bfs` / `obs-overhead`: uninstrumented seed kernels vs the
-/// instrumented kernels with tracing disabled.
-const DISABLED_ARMS: ArmLabels = ArmLabels {
-    a: "seed (uninstrumented)",
-    b: "instrumented, tracing off",
-    json_a: "seed_kernel",
-    json_b: "instrumented_disabled",
-    what: "disabled-path",
-};
-
-/// `prof-overhead`: instrumented kernels under a live session, sampler
-/// off vs sampler on.
-const SAMPLER_ARMS: ArmLabels = ArmLabels {
-    a: "session live, sampler off",
-    b: "session live, sampler on",
-    json_a: "sampler_off",
-    json_b: "sampler_on",
-    what: "sampler",
-};
-
-/// Print one kernel's A/B table + verdict line and return its JSON
-/// record for the exhibit's `BENCH_*_OVERHEAD.json`.
-fn report_ab(kernel: &str, ab: &AbOverhead, budget_pct: f64, arms: &ArmLabels) -> String {
-    let mut t = Table::new(&[
-        "kernel",
-        "min s",
-        "mean s",
-        "p50 s",
-        "p99 s",
-        "std dev s",
-        "ci90 s",
-    ]);
-    t.row(&[
-        format!("{kernel}: {}", arms.a),
-        f(ab.seed_min, 6),
-        f(ab.seed.mean, 6),
-        f(ab.seed_p50, 6),
-        f(ab.seed_p99, 6),
-        f(ab.seed.std_dev, 6),
-        f(ab.seed.ci90, 6),
-    ]);
-    t.row(&[
-        format!("{kernel}: {}", arms.b),
-        f(ab.inst_min, 6),
-        f(ab.inst.mean, 6),
-        f(ab.inst_p50, 6),
-        f(ab.inst_p99, 6),
-        f(ab.inst.std_dev, 6),
-        f(ab.inst.ci90, 6),
-    ]);
-    t.print();
-    println!(
-        "{kernel} {} overhead: {:+.2}% median-of-paired-ratios \
-         ({:+.2}% min-vs-min, {:+.2}% mean-vs-mean; budget {budget_pct}%) \
-         over {} interleaved reps\n",
-        arms.what, ab.overhead_pct, ab.min_overhead_pct, ab.mean_overhead_pct, ab.reps
-    );
-    format!(
-        "    {{\n      \"kernel\": \"{kernel}\",\n      \"reps\": {},\n      \"{}\": {{\"min_s\": {:.6}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}}},\n      \"{}\": {{\"min_s\": {:.6}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}}},\n      \"overhead_pct\": {:.4},\n      \"min_overhead_pct\": {:.4},\n      \"mean_overhead_pct\": {:.4},\n      \"within_budget\": {}\n    }}",
-        ab.reps,
-        arms.json_a,
-        ab.seed_min,
-        ab.seed.mean,
-        ab.seed_p50,
-        ab.seed_p99,
-        ab.seed.std_dev,
-        ab.seed.ci90,
-        arms.json_b,
-        ab.inst_min,
-        ab.inst.mean,
-        ab.inst_p50,
-        ab.inst_p99,
-        ab.inst.std_dev,
-        ab.inst.ci90,
-        ab.overhead_pct,
-        ab.min_overhead_pct,
-        ab.mean_overhead_pct,
-        ab.overhead_pct <= budget_pct,
-    )
-}
-
-/// The PR 1 BFS ablation re-run with telemetry enabled (per-level
-/// records land in `TRACE_BFS.jsonl`), followed by the disabled-path
-/// overhead proof against the uninstrumented seed kernels — hybrid BFS
-/// and sampled betweenness — (`BENCH_TRACE_OVERHEAD.json`, budget
-/// ≤ 2 %).
-fn trace_bfs(opts: Options) {
-    use graphct_bench::seed_baseline::{seed_betweenness, SeedHybridBfs};
-    use graphct_kernels::bfs::{BfsConfig, FrontierKind, HybridBfs};
-    use std::sync::Arc;
-
-    banner("Trace — BFS ablation with per-level telemetry + disabled-overhead proof");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
-        hubs: 1,
-        fanout: if opts.quick { 2_000 } else { 20_000 },
-        decay: 0.001,
-        max_depth: 4,
-    };
-    let (hub_edges, _) = graphct_gen::broadcast::broadcast_forest(&hub_cfg, opts.seed);
-    let hub = build_undirected_simple(&hub_edges).unwrap();
-    let path_n = if opts.quick { 50_000 } else { 200_000 };
-    let path = build_undirected_simple(&graphct_gen::classic::path(path_n)).unwrap();
-    let graphs: [(&str, &CsrGraph); 3] = [
-        ("rmat (low diameter)", &rmat),
-        ("broadcast-hub (low diameter)", &hub),
-        ("path (high diameter)", &path),
-    ];
-    let kinds = [
-        FrontierKind::Queue,
-        FrontierKind::Push,
-        FrontierKind::Pull,
-        FrontierKind::Hybrid,
-    ];
-
-    // -- Part 1: run every ablation cell once under a JSON-lines session.
-    let trace_out = "TRACE_BFS.jsonl";
-    let sink = match graphct_trace::JsonLinesSink::create(std::path::Path::new(trace_out)) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("could not create {trace_out}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let session = graphct_trace::Session::start(sink);
-    let mut hybrid_records = Vec::new();
-    for (gname, graph) in graphs {
-        for kind in kinds {
-            if kind == FrontierKind::Pull && gname.contains("high") {
-                // O(n) pull levels on the path graph would swamp the
-                // trace with hundreds of thousands of records; the
-                // timing ablation already documents that cell.
-                println!("{gname} / {kind:?}: skipped in the trace pass (pathological cell)");
-                continue;
-            }
-            let engine = HybridBfs::with_config(graph, BfsConfig::from_kind(kind));
-            let run = engine.run(0);
-            println!(
-                "{gname} / {kind:?}: {} levels, {} edges inspected",
-                run.level_records.len(),
-                run.edges_inspected
-            );
-            if kind == FrontierKind::Hybrid && gname.starts_with("rmat") {
-                hybrid_records = run.level_records.clone();
-            }
-        }
-    }
-    session.finish();
-
-    // The per-level records carry the exact decide_direction inputs, so
-    // the alpha/beta heuristic replays offline.  Show it for the
-    // rmat/hybrid cell.
-    println!("\nrmat hybrid per-level records (direction decision inputs):");
-    println!("level  dir   n_f      m_f      m_u      inspected");
-    for r in &hybrid_records {
-        println!(
-            "{:>5}  {:<4}  {:>7}  {:>7}  {:>7}  {:>9}",
-            r.level,
-            r.direction.as_str(),
-            r.frontier_vertices,
-            r.frontier_edges,
-            r.unexplored_edges,
-            r.edges_inspected
-        );
-    }
-
-    match std::fs::read_to_string(trace_out) {
-        Ok(text) => match graphct_trace::schema::validate_jsonl(&text) {
-            Ok(count) => println!("\n{trace_out}: {count} records, all schema-valid"),
-            Err((line, msg)) => {
-                eprintln!("{trace_out}:{line}: schema violation: {msg}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("could not re-read {trace_out}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // -- Part 2: interleaved A/B overhead measurements, tracing disabled.
-    assert!(
-        !graphct_trace::enabled(),
-        "session must be finished before the overhead measurement"
-    );
-    let budget_pct = 2.0;
-
-    // BFS arm.  Each sample batches several sources so per-sample work
-    // dwarfs the timer quantum.
-    let config = BfsConfig::hybrid();
-    let seed_engine = SeedHybridBfs::with_config(&rmat, config);
-    let inst_engine = HybridBfs::with_config(&rmat, config);
-    let n = rmat.num_vertices() as u32;
-    // Warm both paths before timing.
-    std::hint::black_box(seed_engine.levels(0));
-    std::hint::black_box(inst_engine.levels(0));
-    let reps = opts.reps.max(50);
-    const BATCH: u32 = 8;
-    let bfs_ab = ab_overhead(
-        reps,
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(seed_engine.levels((s * 37 + 11) % n));
-            }
-        },
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(inst_engine.levels((s * 37 + 11) % n));
-            }
-        },
-    );
-    let bfs_record = report_ab("bfs_hybrid", &bfs_ab, budget_pct, &DISABLED_ARMS);
-
-    // Betweenness arm: sampled Brandes on the same graph, one full call
-    // per sample (each call already batches its sources).
-    let bc_config = graphct_kernels::betweenness::BetweennessConfig {
-        sampling: graphct_kernels::betweenness::SamplingSpec::count(16, opts.seed),
-        bfs: config,
-        ..graphct_kernels::betweenness::BetweennessConfig::exact()
-    };
-    std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-    std::hint::black_box(
-        graphct_kernels::betweenness::betweenness_centrality(&rmat, &bc_config)
-            .unwrap()
-            .scores,
-    );
-    let bc_reps = opts.reps.max(30);
-    let bc_ab = ab_overhead(
-        bc_reps,
-        &mut || {
-            std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-        },
-        &mut || {
-            std::hint::black_box(
-                graphct_kernels::betweenness::betweenness_centrality(&rmat, &bc_config)
-                    .unwrap()
-                    .scores,
-            );
-        },
-    );
-    let bc_record = report_ab("bc_sampled_16src", &bc_ab, budget_pct, &DISABLED_ARMS);
-
-    record_history(
-        opts,
-        "trace_bfs",
-        &[
-            ("bfs_hybrid/seed".to_string(), bfs_ab.seed.mean),
-            ("bfs_hybrid/instrumented".to_string(), bfs_ab.inst.mean),
-            ("bc_sampled_16src/seed".to_string(), bc_ab.seed.mean),
-            ("bc_sampled_16src/instrumented".to_string(), bc_ab.inst.mean),
-        ],
-    );
-
-    let within_budget = bfs_ab.overhead_pct <= budget_pct && bc_ab.overhead_pct <= budget_pct;
-    let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"results\": [\n{},\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        bfs_record,
-        bc_record,
-    );
-    let out = "BENCH_TRACE_OVERHEAD.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-}
-
-/// `repro obs-overhead` — the introspection-plane disabled-path proof
-/// (`BENCH_OBS_OVERHEAD.json`, budget ≤ 2 %).
-///
-/// PR 2 proved the span/counter spine free when disabled; this exhibit
-/// re-proves it for the v2 plane, where the hot kernel loops also carry
-/// per-wave/per-source `Histogram` recording sites.  Same paired-ratio
-/// methodology: interleaved A/B pairs against the uninstrumented seed
-/// kernels, median of per-pair ratios as the headline.  The ledger
-/// records carry the per-arm p50/p99 so `check-regress` renders its
-/// quantile columns.
-fn obs_overhead(opts: Options) {
-    use graphct_bench::history;
-    use graphct_bench::seed_baseline::{seed_betweenness, SeedHybridBfs};
-    use graphct_kernels::bfs::{BfsConfig, HybridBfs};
-
-    banner("Obs — introspection plane v2 disabled-path overhead proof");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    assert!(
-        !graphct_trace::enabled(),
-        "no trace session may be live during the overhead measurement"
-    );
-    let budget_pct = 2.0;
-
-    // BFS arm: instrumented kernel now carries the per-wave histogram
-    // site.  Batched sources so per-sample work dwarfs the timer quantum.
-    let config = BfsConfig::hybrid();
-    let seed_engine = SeedHybridBfs::with_config(&rmat, config);
-    let inst_engine = HybridBfs::with_config(&rmat, config);
-    let n = rmat.num_vertices() as u32;
-    std::hint::black_box(seed_engine.levels(0));
-    std::hint::black_box(inst_engine.levels(0));
-    let reps = opts.reps.max(50);
-    const BATCH: u32 = 8;
-    let bfs_ab = ab_overhead(
-        reps,
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(seed_engine.levels((s * 37 + 11) % n));
-            }
-        },
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(inst_engine.levels((s * 37 + 11) % n));
-            }
-        },
-    );
-    let bfs_record = report_ab("bfs_hybrid", &bfs_ab, budget_pct, &DISABLED_ARMS);
-
-    // Betweenness arm: the per-source histogram site sits in the sampled
-    // Brandes accumulation loop.
-    let bc_config = BetweennessConfig {
-        sampling: SamplingSpec::count(16, opts.seed),
-        bfs: config,
-        ..BetweennessConfig::exact()
-    };
-    std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-    std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-    let bc_reps = opts.reps.max(30);
-    let bc_ab = ab_overhead(
-        bc_reps,
-        &mut || {
-            std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-        },
-        &mut || {
-            std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-        },
-    );
-    let bc_record = report_ab("bc_sampled_16src", &bc_ab, budget_pct, &DISABLED_ARMS);
-
-    // Ledger records carry the per-arm sample quantiles so check-regress
-    // can print its p50/p99 columns for these series.
-    let entries: Vec<history::HistoryEntry> = [
-        (
-            "bfs_hybrid/seed",
-            bfs_ab.seed.mean,
-            bfs_ab.seed_p50,
-            bfs_ab.seed_p99,
-        ),
-        (
-            "bfs_hybrid/instrumented",
-            bfs_ab.inst.mean,
-            bfs_ab.inst_p50,
-            bfs_ab.inst_p99,
-        ),
-        (
-            "bc_sampled_16src/seed",
-            bc_ab.seed.mean,
-            bc_ab.seed_p50,
-            bc_ab.seed_p99,
-        ),
-        (
-            "bc_sampled_16src/instrumented",
-            bc_ab.inst.mean,
-            bc_ab.inst_p50,
-            bc_ab.inst_p99,
-        ),
-    ]
-    .iter()
-    .map(|(case, mean, p50, p99)| {
-        history::HistoryEntry::now("obs_overhead", case, opts.quick, *mean)
-            .with_quantiles(*p50, *p99)
-    })
-    .collect();
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &entries) {
-        Ok(()) => println!(
-            "appended {} records (with quantiles) to {}",
-            entries.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
-    }
-
-    let within_budget = bfs_ab.overhead_pct <= budget_pct && bc_ab.overhead_pct <= budget_pct;
-    let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"results\": [\n{},\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        bfs_record,
-        bc_record,
-    );
-    let out = "BENCH_OBS_OVERHEAD.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-    if !within_budget {
-        eprintln!("disabled-path overhead exceeded the {budget_pct}% budget");
-        std::process::exit(1);
-    }
-}
-
-/// Paired sampler-on/off measurement: the *same* work closure in both
-/// arms, the continuous profiler started for the on-arm.  Start/stop
-/// (refcounted worker spawn/join) happen outside the timed region —
-/// they are lifecycle cost, not the steady-state cost the budget caps —
-/// and the arms alternate order per pair exactly like [`ab_overhead`].
-fn ab_sampler(reps: usize, hz: u32, work: &mut dyn FnMut()) -> AbOverhead {
-    use std::time::Instant;
-
-    let prof = graphct_trace::profiler();
-    let time_one = |run: &mut dyn FnMut()| {
-        let t = Instant::now();
-        run();
-        t.elapsed().as_secs_f64()
-    };
-    let mut off_samples = Vec::with_capacity(reps);
-    let mut on_samples = Vec::with_capacity(reps);
-    for r in 0..reps {
-        if r % 2 == 0 {
-            off_samples.push(time_one(work));
-            prof.start(hz);
-            on_samples.push(time_one(work));
-            prof.stop();
-        } else {
-            prof.start(hz);
-            on_samples.push(time_one(work));
-            prof.stop();
-            off_samples.push(time_one(work));
-        }
-    }
-    ab_from_samples(&off_samples, &on_samples)
-}
-
-/// `repro prof-overhead` — the continuous-profiler cost proof
-/// (`BENCH_PROF_OVERHEAD.json`, budget ≤ 2 %).
-///
-/// Unlike `trace-bfs`/`obs-overhead` (which prove the *disabled* path
-/// free), both arms here run the instrumented kernels under a live
-/// `NullSink` session, so spans maintain their shadow stacks in both;
-/// the B arm additionally runs the wall-clock sampler at its default
-/// 97 Hz.  The paired ratio therefore isolates exactly what always-on
-/// profiling adds to a hot kernel loop: the sampler core's registry
-/// walk plus the cache traffic of its seqlock reads against the worker
-/// threads' shadow stacks.
-fn prof_overhead(opts: Options) {
-    use graphct_bench::history;
-    use graphct_kernels::bfs::{BfsConfig, HybridBfs};
-    use std::sync::Arc;
-
-    banner("Prof — continuous profiler (97 Hz sampler) steady-state overhead proof");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let budget_pct = 2.0;
-    let hz = graphct_trace::profile::DEFAULT_HZ;
-
-    // Both arms need an enabled session: shadow stacks only carry
-    // frames while spans are live, and an empty registry would make the
-    // sampler artificially cheap.
-    let session = graphct_trace::Session::start(Arc::new(graphct_trace::NullSink));
-    let prof = graphct_trace::profiler();
-    prof.reset();
-
-    // BFS arm.  Batched sources so per-sample work dwarfs the timer
-    // quantum (same batch as the other overhead exhibits).
-    let config = BfsConfig::hybrid();
-    let engine = HybridBfs::with_config(&rmat, config);
-    let n = rmat.num_vertices() as u32;
-    std::hint::black_box(engine.levels(0));
-    let reps = opts.reps.max(50);
-    const BATCH: u32 = 8;
-    let bfs_ab = ab_sampler(reps, hz, &mut || {
-        for s in 0..BATCH {
-            std::hint::black_box(engine.levels((s * 37 + 11) % n));
-        }
-    });
-    let bfs_record = report_ab("bfs_hybrid", &bfs_ab, budget_pct, &SAMPLER_ARMS);
-
-    // Betweenness arm: sampled Brandes, one full call per sample.
-    let bc_config = BetweennessConfig {
-        sampling: SamplingSpec::count(16, opts.seed),
-        bfs: config,
-        ..BetweennessConfig::exact()
-    };
-    std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-    // Full-size BC has ~17% per-rep spread on a loaded box; the paired
-    // median needs more pairs there for the ratio's standard error to
-    // sit comfortably inside the 2% budget.
-    let bc_reps = opts.reps.max(if opts.quick { 30 } else { 50 });
-    let bc_ab = ab_sampler(bc_reps, hz, &mut || {
-        std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-    });
-    let bc_record = report_ab("bc_sampled_16src", &bc_ab, budget_pct, &SAMPLER_ARMS);
-
-    // The on-arms really sampled kernel stacks (a zero here would mean
-    // the B arm measured nothing).
-    let samples = prof.samples_total();
-    let kernel_stacks: u64 = prof
-        .fold()
-        .iter()
-        .filter(|(path, _)| path.contains(";bfs") || path.contains(";bc"))
-        .map(|(_, c)| c)
-        .sum();
-    println!(
-        "sampler evidence: {samples} samples across the on-arms, {kernel_stacks} on kernel spans"
-    );
-    if samples == 0 || kernel_stacks == 0 {
-        eprintln!("sampler took no kernel-span samples; the on-arm measured nothing");
-        std::process::exit(1);
-    }
-    prof.reset();
-    session.finish();
-
-    let entries: Vec<history::HistoryEntry> = [
-        (
-            "bfs_hybrid/sampler_off",
-            bfs_ab.seed.mean,
-            bfs_ab.seed_p50,
-            bfs_ab.seed_p99,
-        ),
-        (
-            "bfs_hybrid/sampler_on",
-            bfs_ab.inst.mean,
-            bfs_ab.inst_p50,
-            bfs_ab.inst_p99,
-        ),
-        (
-            "bc_sampled_16src/sampler_off",
-            bc_ab.seed.mean,
-            bc_ab.seed_p50,
-            bc_ab.seed_p99,
-        ),
-        (
-            "bc_sampled_16src/sampler_on",
-            bc_ab.inst.mean,
-            bc_ab.inst_p50,
-            bc_ab.inst_p99,
-        ),
-    ]
-    .iter()
-    .map(|(case, mean, p50, p99)| {
-        history::HistoryEntry::now("prof_overhead", case, opts.quick, *mean)
-            .with_quantiles(*p50, *p99)
-    })
-    .collect();
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &entries) {
-        Ok(()) => println!(
-            "appended {} records (with quantiles) to {}",
-            entries.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
-    }
-
-    let within_budget = bfs_ab.overhead_pct <= budget_pct && bc_ab.overhead_pct <= budget_pct;
-    let json = format!(
-        "{{\n  \"bench\": \"prof_overhead\",\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"sampler_hz\": {hz},\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"results\": [\n{},\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        bfs_record,
-        bc_record,
-    );
-    let out = "BENCH_PROF_OVERHEAD.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-    if !within_budget {
-        eprintln!("sampler overhead exceeded the {budget_pct}% budget");
-        std::process::exit(1);
-    }
-}
-
-// -------------------------------------------------------------- Reorder
-
-/// Median of a sample set (copies and sorts; fine at bench rep counts).
-fn median_of(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
-}
-
-/// Wall-clock samples of `op`, one per rep.
-fn time_samples(reps: usize, mut op: impl FnMut()) -> Vec<f64> {
-    (0..reps)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            op();
-            t.elapsed().as_secs_f64()
-        })
-        .collect()
-}
-
-/// One timed cell of the reorder exhibit.
-struct ReorderCell {
-    graph: String,
-    kernel: &'static str,
-    ordering: graphct_core::ReorderKind,
-    summary: graphct_bench::timing::TimingSummary,
-    median_s: f64,
-    speedup: f64,
-}
-
-/// `repro reorder` — the locality-engine exhibit (`BENCH_REORDER.json`).
-///
-/// For each ordering pass (natural, degree-descending, RCM, random
-/// shuffle) the same three kernels run over the same graphs — hybrid
-/// BFS from a fixed source batch, 16-source sampled betweenness, and
-/// connected components — and every non-natural run proves its results
-/// map back to the natural-order answers before it is timed.  The
-/// paper's XMT hides memory latency in hardware; on commodity cores the
-/// substitute is layout, and this exhibit measures how much of the gap
-/// each pass closes (speedup = natural median / reordered median).
-fn reorder_exhibit(opts: Options) {
-    use graphct_core::{ReorderKind, ReorderedView};
-    use graphct_kernels::betweenness::SamplingSpec;
-    use graphct_kernels::bfs::HybridBfs;
-
-    banner("Reorder — vertex relabeling passes vs kernel locality");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
-        hubs: 1,
-        fanout: if opts.quick { 2_000 } else { 20_000 },
-        decay: 0.001,
-        max_depth: 4,
-    };
-    let (hub_edges, _) = graphct_gen::broadcast::broadcast_forest(&hub_cfg, opts.seed);
-    let hub = build_undirected_simple(&hub_edges).unwrap();
-    let rmat_name = format!("rmat scale {scale}");
-    let graphs: [(&str, &CsrGraph); 2] = [(&rmat_name, &rmat), ("broadcast-hub", &hub)];
-
-    const BFS_BATCH: usize = 8;
-    let bc_spec = SamplingSpec::count(16, opts.seed);
-    let reps = opts.reps.max(3);
-
-    let mut cells: Vec<ReorderCell> = Vec::new();
-    let mut t = Table::new(&[
-        "graph", "kernel", "ordering", "median s", "ci90 s", "speedup",
-    ]);
-    for (gname, graph) in graphs {
-        let n = graph.num_vertices() as u32;
-        let sources: Vec<u32> = (0..BFS_BATCH as u32).map(|s| (s * 37 + 11) % n).collect();
-        // Natural-order answers: the equivalence reference for every pass.
-        let natural_engine = HybridBfs::new(graph);
-        let natural_levels = natural_levels_for(&natural_engine, &sources);
-        let natural_colors = connected_components(graph);
-
-        let mut natural_medians: Vec<(&str, f64)> = Vec::new();
-        for ordering in ReorderKind::ALL {
-            let view = ReorderedView::apply(graph, ordering, opts.seed);
-            let work = view.as_ref().map_or(graph, |v| v.graph());
-            let translated: Vec<u32> = sources
-                .iter()
-                .map(|&s| view.as_ref().map_or(s, |v| v.translate_source(s)))
-                .collect();
-
-            // Prove the permutation is transparent before timing it.
-            if let Some(view) = &view {
-                let engine = HybridBfs::new(work);
-                for (&s, natural) in translated.iter().zip(&natural_levels) {
-                    assert_eq!(
-                        &view.restore(&engine.levels(s)),
-                        natural,
-                        "{gname}/{ordering}: BFS levels diverge after restore"
-                    );
-                }
-                assert_eq!(
-                    view.restore_colors(&connected_components(work)),
-                    natural_colors,
-                    "{gname}/{ordering}: component labels diverge after restore"
-                );
-            }
-
-            let engine = HybridBfs::new(work);
-            let bfs_samples = time_samples(reps, || {
-                for &s in &translated {
-                    std::hint::black_box(engine.levels(s));
-                }
-            });
-            let bc_config = graphct_kernels::BetweennessConfig {
-                sampling: bc_spec,
-                ..graphct_kernels::BetweennessConfig::exact()
-            };
-            let bc_samples = time_samples(reps, || {
-                std::hint::black_box(betweenness_centrality(work, &bc_config).unwrap());
-            });
-            let cc_samples = time_samples(reps, || {
-                std::hint::black_box(connected_components(work));
-            });
-
-            for (kernel, samples) in [
-                ("bfs_hybrid_8src", bfs_samples),
-                ("bc_sampled_16src", bc_samples),
-                ("components", cc_samples),
-            ] {
-                let median_s = median_of(&samples);
-                if ordering == ReorderKind::None {
-                    natural_medians.push((kernel, median_s));
-                }
-                let natural = natural_medians
-                    .iter()
-                    .find(|(k, _)| *k == kernel)
-                    .map(|&(_, m)| m)
-                    .unwrap_or(median_s);
-                let speedup = natural / median_s.max(1e-12);
-                let summary = graphct_bench::timing::TimingSummary::from_samples(&samples);
-                t.row(&[
-                    gname.to_string(),
-                    kernel.to_string(),
-                    ordering.to_string(),
-                    f(median_s, 5),
-                    f(summary.ci90, 5),
-                    format!("{speedup:.3}x"),
-                ]);
-                cells.push(ReorderCell {
-                    graph: gname.to_string(),
-                    kernel,
-                    ordering,
-                    summary,
-                    median_s,
-                    speedup,
-                });
-            }
-        }
-    }
-    t.print();
-
-    let best = cells
-        .iter()
-        .filter(|c| c.ordering != ReorderKind::None && c.ordering != ReorderKind::Shuffle)
-        .max_by(|a, b| a.speedup.partial_cmp(&b.speedup).unwrap())
-        .expect("exhibit always produces non-trivial cells");
-    println!(
-        "best non-trivial ordering: {} on {}/{} at {:.3}x vs natural order",
-        best.ordering, best.graph, best.kernel, best.speedup
-    );
-
-    let history: Vec<(String, f64)> = cells
-        .iter()
-        .map(|c| {
-            (
-                format!("{}/{}/{}", c.graph, c.kernel, c.ordering),
-                c.summary.mean,
-            )
-        })
-        .collect();
-    record_history(opts, "reorder", &history);
-
-    let results: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"graph\": \"{}\", \"kernel\": \"{}\", \"ordering\": \"{}\", \
-                 \"median_s\": {:.6}, \"mean_s\": {:.6}, \"std_dev_s\": {:.6}, \
-                 \"ci90_s\": {:.6}, \"speedup_vs_natural\": {:.4}}}",
-                c.graph,
-                c.kernel,
-                c.ordering,
-                c.median_s,
-                c.summary.mean,
-                c.summary.std_dev,
-                c.summary.ci90,
-                c.speedup
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"reorder\",\n  \"quick\": {},\n  \"seed\": {},\n  \"reps\": {reps},\n  \
-         \"orderings\": [\"none\", \"degree\", \"rcm\", \"shuffle\"],\n  \
-         \"graphs\": [\n    {{\"name\": \"{rmat_name}\", \"vertices\": {}, \"edges\": {}}},\n    \
-         {{\"name\": \"broadcast-hub\", \"vertices\": {}, \"edges\": {}}}\n  ],\n  \
-         \"results\": [\n{}\n  ],\n  \
-         \"best_nontrivial\": {{\"graph\": \"{}\", \"kernel\": \"{}\", \"ordering\": \"{}\", \"speedup\": {:.4}}},\n  \
-         \"achieved_1_10x\": {}\n}}\n",
-        opts.quick,
-        opts.seed,
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        hub.num_vertices(),
-        hub.num_edges(),
-        results.join(",\n"),
-        best.graph,
-        best.kernel,
-        best.ordering,
-        best.speedup,
-        best.speedup >= 1.10,
-    );
-    let out = "BENCH_REORDER.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-}
-
-/// `repro triangles` — the triadic-engine exhibit (`BENCH_TRIANGLES.json`).
-///
-/// The forward merge counter is oracle-gated against the naive
-/// sorted-intersection counter — bit-identical per-vertex counts, on
-/// every graph and under every reordering (restored to original ids) —
-/// *before* anything is timed.  Then both counters are timed at natural
-/// order (the algorithmic headline: forward does `O(Σ d_lower²)` work
-/// instead of `O(Σ d(u)+d(v)) per edge`), and the forward counter is
-/// timed under each relabeling pass (the locality headline: degree
-/// ordering tightens the low-id prefix the merge walks, so it should
-/// lead none/shuffle).  Throughput is reported as edges/second.
-fn triangles_exhibit(opts: Options) {
-    use graphct_core::{ReorderKind, ReorderedView};
-    use graphct_kernels::{forward_triangle_counts, naive_triangle_counts};
-
-    banner("Triangles — forward merge counter vs naive oracle, across orderings");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
-        hubs: 1,
-        fanout: if opts.quick { 2_000 } else { 20_000 },
-        decay: 0.001,
-        max_depth: 4,
-    };
-    let (hub_edges, _) = graphct_gen::broadcast::broadcast_forest(&hub_cfg, opts.seed);
-    let hub = build_undirected_simple(&hub_edges).unwrap();
-    let rmat_name = format!("rmat scale {scale}");
-    let graphs: [(&str, &CsrGraph); 2] = [(&rmat_name, &rmat), ("broadcast-hub", &hub)];
-    let reps = opts.reps.max(3);
-
-    let mut cells: Vec<ReorderCell> = Vec::new();
-    let mut forward_vs_naive: Vec<(String, f64)> = Vec::new();
-    let mut t = Table::new(&[
-        "graph", "counter", "ordering", "median s", "ci90 s", "Medges/s", "speedup",
-    ]);
-    for (gname, graph) in graphs {
-        // Oracle gate: a triangle count is either right or wrong; no
-        // timing until the engines agree bit-identically.
-        let oracle = naive_triangle_counts(graph).unwrap();
-        assert_eq!(
-            forward_triangle_counts(graph).unwrap(),
-            oracle,
-            "{gname}: forward counter diverges from the naive oracle"
-        );
-        let total: usize = oracle.iter().sum::<usize>() / 3;
-        println!(
-            "{gname}: {} vertices, {} edges, {} triangles (forward == naive, gate passed)",
-            graph.num_vertices(),
-            graph.num_edges(),
-            total
-        );
-        let edges = graph.num_edges() as f64;
-
-        let naive_samples = time_samples(reps, || {
-            std::hint::black_box(naive_triangle_counts(graph).unwrap());
-        });
-        let naive_median = median_of(&naive_samples);
-        let mut natural_forward = f64::NAN;
-        for ordering in ReorderKind::ALL {
-            let view = ReorderedView::apply(graph, ordering, opts.seed);
-            let work = view.as_ref().map_or(graph, |v| v.graph());
-            if let Some(view) = &view {
-                assert_eq!(
-                    view.restore(&forward_triangle_counts(work).unwrap()),
-                    oracle,
-                    "{gname}/{ordering}: counts diverge after restore"
-                );
-            }
-            let samples = time_samples(reps, || {
-                std::hint::black_box(forward_triangle_counts(work).unwrap());
-            });
-            let median_s = median_of(&samples);
-            if ordering == ReorderKind::None {
-                natural_forward = median_s;
-            }
-            let speedup = natural_forward / median_s.max(1e-12);
-            let summary = graphct_bench::timing::TimingSummary::from_samples(&samples);
-            t.row(&[
-                gname.to_string(),
-                "forward".to_string(),
-                ordering.to_string(),
-                f(median_s, 5),
-                f(summary.ci90, 5),
-                f(edges / median_s.max(1e-12) / 1e6, 2),
-                format!("{speedup:.3}x"),
-            ]);
-            cells.push(ReorderCell {
-                graph: gname.to_string(),
-                kernel: "tri_forward",
-                ordering,
-                summary,
-                median_s,
-                speedup,
-            });
-        }
-        // The naive row last, so its speedup column reads as "fraction
-        // of natural-order forward" (< 1 when forward wins).
-        let naive_summary = graphct_bench::timing::TimingSummary::from_samples(&naive_samples);
-        t.row(&[
-            gname.to_string(),
-            "naive".to_string(),
-            "none".to_string(),
-            f(naive_median, 5),
-            f(naive_summary.ci90, 5),
-            f(edges / naive_median.max(1e-12) / 1e6, 2),
-            format!("{:.3}x", natural_forward / naive_median.max(1e-12)),
-        ]);
-        cells.push(ReorderCell {
-            graph: gname.to_string(),
-            kernel: "tri_naive",
-            ordering: ReorderKind::None,
-            summary: naive_summary,
-            median_s: naive_median,
-            speedup: natural_forward / naive_median.max(1e-12),
-        });
-        forward_vs_naive.push((gname.to_string(), naive_median / natural_forward.max(1e-12)));
-    }
-    t.print();
-
-    for (gname, ratio) in &forward_vs_naive {
-        println!("{gname}: forward counter {ratio:.3}x vs naive at natural order");
-    }
-    let degree_speedup = |gname: &str| {
-        cells
-            .iter()
-            .find(|c| {
-                c.graph == gname && c.kernel == "tri_forward" && c.ordering == ReorderKind::Degree
-            })
-            .map_or(f64::NAN, |c| c.speedup)
-    };
-    println!(
-        "degree ordering: {:.3}x on {rmat_name}, {:.3}x on broadcast-hub (vs natural order)",
-        degree_speedup(&rmat_name),
-        degree_speedup("broadcast-hub")
-    );
-
-    let history: Vec<(String, f64)> = cells
-        .iter()
-        .map(|c| {
-            (
-                format!("{}/{}/{}", c.graph, c.kernel, c.ordering),
-                c.summary.mean,
-            )
-        })
-        .collect();
-    record_history(opts, "triangles", &history);
-
-    let results: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            let edges = if c.graph == rmat_name {
-                rmat.num_edges()
-            } else {
-                hub.num_edges()
-            } as f64;
-            format!(
-                "    {{\"graph\": \"{}\", \"counter\": \"{}\", \"ordering\": \"{}\", \
-                 \"median_s\": {:.6}, \"mean_s\": {:.6}, \"std_dev_s\": {:.6}, \
-                 \"ci90_s\": {:.6}, \"edges_per_s\": {:.1}, \"speedup_vs_natural\": {:.4}}}",
-                c.graph,
-                c.kernel,
-                c.ordering,
-                c.median_s,
-                c.summary.mean,
-                c.summary.std_dev,
-                c.summary.ci90,
-                edges / c.median_s.max(1e-12),
-                c.speedup
-            )
-        })
-        .collect();
-    let rmat_ratio = forward_vs_naive[0].1;
-    let json = format!(
-        "{{\n  \"bench\": \"triangles\",\n  \"quick\": {},\n  \"seed\": {},\n  \"reps\": {reps},\n  \
-         \"oracle\": \"forward == naive per-vertex, bit-identical, before timing\",\n  \
-         \"orderings\": [\"none\", \"degree\", \"rcm\", \"shuffle\"],\n  \
-         \"graphs\": [\n    {{\"name\": \"{rmat_name}\", \"vertices\": {}, \"edges\": {}}},\n    \
-         {{\"name\": \"broadcast-hub\", \"vertices\": {}, \"edges\": {}}}\n  ],\n  \
-         \"results\": [\n{}\n  ],\n  \
-         \"forward_vs_naive\": [\n    {{\"graph\": \"{}\", \"speedup\": {:.4}}},\n    \
-         {{\"graph\": \"{}\", \"speedup\": {:.4}}}\n  ],\n  \
-         \"forward_beats_naive_on_rmat\": {},\n  \
-         \"degree_ahead_of_natural_on_rmat\": {}\n}}\n",
-        opts.quick,
-        opts.seed,
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        hub.num_vertices(),
-        hub.num_edges(),
-        results.join(",\n"),
-        forward_vs_naive[0].0,
-        forward_vs_naive[0].1,
-        forward_vs_naive[1].0,
-        forward_vs_naive[1].1,
-        rmat_ratio > 1.0,
-        degree_speedup(&rmat_name) >= 1.0,
-    );
-    let out = "BENCH_TRIANGLES.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-}
-
-/// Natural-order BFS levels for each source in the batch.
-fn natural_levels_for(engine: &graphct_kernels::bfs::HybridBfs, sources: &[u32]) -> Vec<Vec<u32>> {
-    sources.iter().map(|&s| engine.levels(s)).collect()
-}
-
-/// One timed cell of the MS-BFS exhibit.
-struct MsbfsCell {
-    graph: String,
-    engine: String,
-    summary: graphct_bench::timing::TimingSummary,
-    median_s: f64,
-    speedup: f64,
-}
-
-/// `repro msbfs` — the bit-parallel multi-source BFS exhibit
-/// (`BENCH_MSBFS.json`).
-///
-/// The paper's diameter phase runs 256 independent BFS roots (§IV-A);
-/// the XMT keeps them latency-hidden in hardware thread contexts, and
-/// our commodity substitute packs up to 64 of them into the lanes of a
-/// `u64` so one adjacency scan advances the whole batch.  Before any
-/// timing, every graph passes an oracle gate: batched levels at widths
-/// 1, 3, and 64 must be *bit-identical* to `sequential_bfs_levels` for
-/// 65 spread-out sources.  Then the same eccentricity sweep runs as (a)
-/// the per-source rayon baseline and (b) MS-BFS at batch 1, 8, and 64,
-/// all four arms required to agree on the max distance.
-fn msbfs_exhibit(opts: Options) {
-    use graphct_kernels::bfs::{max_level, sequential_bfs_levels, HybridBfs};
-    use graphct_kernels::msbfs::MsBfs;
-    use rayon::prelude::*;
-
-    banner("MS-BFS — bit-parallel multi-source batching vs per-source tasks");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
-        hubs: 1,
-        fanout: if opts.quick { 2_000 } else { 20_000 },
-        decay: 0.001,
-        max_depth: 4,
-    };
-    let (hub_edges, _) = graphct_gen::broadcast::broadcast_forest(&hub_cfg, opts.seed);
-    let hub = build_undirected_simple(&hub_edges).unwrap();
-    let rmat_name = format!("rmat scale {scale}");
-    let graphs: [(&str, &CsrGraph); 2] = [(&rmat_name, &rmat), ("broadcast-hub", &hub)];
-
-    let sweep = if opts.quick { 64 } else { 256 };
-    let reps = opts.reps.max(3);
-    const BATCHES: [usize; 3] = [1, 8, 64];
-
-    let mut cells: Vec<MsbfsCell> = Vec::new();
-    let mut t = Table::new(&["graph", "engine", "median s", "ci90 s", "speedup vs rayon"]);
-    for (gname, graph) in graphs {
-        let n = graph.num_vertices() as u32;
-        let engine = HybridBfs::new(graph);
-        let ms = MsBfs::new(&engine);
-
-        // Oracle gate: bit-identical levels before a single timing rep.
-        let gate_sources: Vec<u32> = (0..65u32).map(|i| (i * 131 + 17) % n).collect();
-        for batch in [1usize, 3, 64] {
-            let got = ms.levels_many(&gate_sources, batch);
-            for (&s, lv) in gate_sources.iter().zip(&got) {
-                assert_eq!(
-                    lv,
-                    &sequential_bfs_levels(graph, s),
-                    "{gname}: MS-BFS levels diverge from the oracle (source {s}, batch {batch})"
-                );
-            }
-        }
-        println!("{gname}: oracle gate passed (65 sources x batch 1/3/64, bit-identical)");
-
-        let sources: Vec<u32> = (0..sweep as u32).map(|i| (i * 97 + 13) % n).collect();
-        let rayon_max = sources
-            .par_iter()
-            .map(|&s| max_level(&engine.levels(s)))
-            .max()
-            .unwrap_or(0);
-        let rayon_samples = time_samples(reps, || {
-            std::hint::black_box(
-                sources
-                    .par_iter()
-                    .map(|&s| max_level(&engine.levels(s)))
-                    .max(),
-            );
-        });
-        let rayon_median = median_of(&rayon_samples);
-        let mut arms: Vec<(String, Vec<f64>)> =
-            vec![("rayon_per_source".to_string(), rayon_samples)];
-        for batch in BATCHES {
-            let got_max = ms.eccentricities(&sources, batch).into_iter().max();
-            assert_eq!(
-                got_max,
-                Some(rayon_max),
-                "{gname}: batch {batch} disagrees with the rayon baseline on max distance"
-            );
-            let samples = time_samples(reps, || {
-                std::hint::black_box(ms.eccentricities(&sources, batch).into_iter().max());
-            });
-            arms.push((format!("msbfs_batch{batch}"), samples));
-        }
-
-        for (engine_name, samples) in arms {
-            let median_s = median_of(&samples);
-            let speedup = rayon_median / median_s.max(1e-12);
-            let summary = graphct_bench::timing::TimingSummary::from_samples(&samples);
-            t.row(&[
-                gname.to_string(),
-                engine_name.clone(),
-                f(median_s, 5),
-                f(summary.ci90, 5),
-                format!("{speedup:.3}x"),
-            ]);
-            cells.push(MsbfsCell {
-                graph: gname.to_string(),
-                engine: engine_name,
-                summary,
-                median_s,
-                speedup,
-            });
-        }
-    }
-    t.print();
-
-    let rmat_batch64 = cells
-        .iter()
-        .find(|c| c.graph == rmat_name && c.engine == "msbfs_batch64")
-        .expect("exhibit always times the full-width batch");
-    println!(
-        "batch 64 on {}: {:.3}x vs the per-source rayon baseline",
-        rmat_name, rmat_batch64.speedup
-    );
-    let batch64_beats_rayon = rmat_batch64.speedup > 1.0;
-
-    let history: Vec<(String, f64)> = cells
-        .iter()
-        .map(|c| (format!("{}/{}", c.graph, c.engine), c.summary.mean))
-        .collect();
-    record_history(opts, "msbfs", &history);
-
-    let results: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"graph\": \"{}\", \"engine\": \"{}\", \"median_s\": {:.6}, \
-                 \"mean_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}, \
-                 \"speedup_vs_rayon\": {:.4}}}",
-                c.graph,
-                c.engine,
-                c.median_s,
-                c.summary.mean,
-                c.summary.std_dev,
-                c.summary.ci90,
-                c.speedup
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"msbfs\",\n  \"quick\": {},\n  \"seed\": {},\n  \"reps\": {reps},\n  \
-         \"sweep_sources\": {sweep},\n  \"batches\": [1, 8, 64],\n  \
-         \"graphs\": [\n    {{\"name\": \"{rmat_name}\", \"vertices\": {}, \"edges\": {}}},\n    \
-         {{\"name\": \"broadcast-hub\", \"vertices\": {}, \"edges\": {}}}\n  ],\n  \
-         \"results\": [\n{}\n  ],\n  \
-         \"batch64_beats_rayon\": {}\n}}\n",
-        opts.quick,
-        opts.seed,
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        hub.num_vertices(),
-        hub.num_edges(),
-        results.join(",\n"),
-        batch64_beats_rayon,
-    );
-    let out = "BENCH_MSBFS.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-}
-
-/// Raw-TCP GET against the in-process serve instance (the workspace has
-/// no HTTP client dependency; this mirrors the obs integration tests).
-fn serve_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: repro\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut text = String::new();
-    stream.read_to_string(&mut text).unwrap();
-    let status: u16 = text
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Parse a `/v1/*` envelope body, returning `(epoch, data)` and
-/// asserting the versioned shape.
-fn serve_envelope(body: &str) -> (u64, graphct_trace::json::Json) {
-    use graphct_trace::json::Json;
-    let v = graphct_trace::json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
-    assert_eq!(v.get("v").and_then(Json::as_u64), Some(1), "{body}");
-    let epoch = v.get("epoch").and_then(Json::as_u64).expect("epoch");
-    let data = v
-        .get("data")
-        .cloned()
-        .unwrap_or_else(|| panic!("no data member: {body}"));
-    (epoch, data)
-}
-
-/// `repro serve-load` — the query-plane load exhibit
-/// (`BENCH_SERVE.json`): concurrent clients hammer the `/v1/*` endpoints
-/// of an in-process serve instance while ingest keeps flowing
-/// underneath.
-///
-/// Before any timing, an oracle gate pauses ingest, waits for the epoch
-/// to stabilize, and demands the served top-k betweenness and component
-/// answers be **bit-identical** to the offline kernels run on the same
-/// frozen snapshot with the same epoch-derived seed — the load numbers
-/// are meaningless if the service computes something different from the
-/// paper's kernels.  The full (non-`--quick`) run must sustain at least
-/// 100 queries/sec across the mixed workload or the exhibit exits 1.
-fn serve_load(opts: Options) {
-    use graphct_bench::history;
-    use graphct_kernels::top_k_betweenness;
-    use graphct_obs::{bc_seed, query_bc_config, start, ServeConfig};
-    use graphct_trace::json::Json;
-    use std::time::{Duration, Instant};
-
-    banner("Serve — query-plane load test over a live ingest");
-    let clients = if opts.quick { 4 } else { 8 };
-    let per_client = if opts.quick { 50usize } else { 250 };
-    let qps_floor = 100.0;
-
-    let handle = start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        profile: DatasetProfile::atlflood().scaled(if opts.quick { 0.05 } else { 0.1 }),
-        seed: opts.seed,
-        batch_size: 64,
-        batches: 0, // endless; the exhibit drives shutdown
-        interval_ms: 1,
-        window_batches: 256,
-        trace_out: None,
-        stall_timeout_ms: 0,
-        profile_hz: 0,
-        snapshot_every: 4,
-        query_threads: 4,
-        topk: 10,
-    })
-    .expect("serve starts");
-    let addr = handle.local_addr();
-
-    // Wait for the first real freeze so every query has a snapshot.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, body) = serve_get(addr, "/v1/snapshot");
-        assert_eq!(status, 200, "{body}");
-        if serve_envelope(&body).0 > 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no snapshot within 30s");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // --- oracle gate: freeze the world, demand kernel identity ---
-    serve_get(addr, "/pause");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (_, a) = serve_get(addr, "/v1/snapshot");
-        std::thread::sleep(Duration::from_millis(50));
-        let (_, b) = serve_get(addr, "/v1/snapshot");
-        if serve_envelope(&a).0 == serve_envelope(&b).0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "epoch never stabilized");
-    }
-    let snap = handle.snapshot();
-    let nv = snap.graph.num_vertices();
-    assert!(nv > 0, "paused snapshot must be non-empty");
-
-    let (k, samples) = (10usize, 8usize);
-    let (status, body) = serve_get(addr, &format!("/v1/query/topk?k={k}&samples={samples}"));
-    assert_eq!(status, 200, "{body}");
-    let (epoch, data) = serve_envelope(&body);
-    assert_eq!(epoch, snap.epoch, "handle and HTTP must agree on epoch");
-    let config = query_bc_config(samples.min(nv), bc_seed(opts.seed, epoch));
-    let expect = top_k_betweenness(&snap.graph, &config, k).expect("offline recompute");
-    let served: Vec<(u64, f64)> = data
-        .get("top")
-        .and_then(Json::as_arr)
-        .expect("top array")
-        .iter()
-        .map(|e| {
-            (
-                e.get("vertex").and_then(Json::as_u64).unwrap(),
-                e.get("score").and_then(Json::as_f64).unwrap(),
-            )
-        })
-        .collect();
-    assert_eq!(served.len(), expect.len());
-    for (got, want) in served.iter().zip(&expect) {
-        assert_eq!(got.0, u64::from(want.0), "oracle ranking mismatch: {body}");
-        assert_eq!(
-            got.1.to_bits(),
-            want.1.to_bits(),
-            "oracle: served score {} != offline {}",
-            got.1,
-            want.1
-        );
-    }
-    let colors = connected_components(&*snap.graph);
-    let mut sizes = vec![0u64; nv];
-    for &c in &colors {
-        sizes[c as usize] += 1;
-    }
-    for v in [0usize, nv / 2, nv - 1] {
-        let (_, body) = serve_get(addr, &format!("/v1/query/component?vertex={v}"));
-        let (_, data) = serve_envelope(&body);
-        assert_eq!(
-            data.get("component").and_then(Json::as_u64).unwrap(),
-            u64::from(colors[v]),
-            "oracle component mismatch: {body}"
-        );
-        assert_eq!(
-            data.get("size").and_then(Json::as_u64).unwrap(),
-            sizes[colors[v] as usize],
-            "oracle component size mismatch: {body}"
-        );
-    }
-    println!(
-        "oracle gate: topk + components bit-identical to offline kernels on epoch {epoch} ({nv} vertices)"
-    );
-    serve_get(addr, "/resume");
-
-    // --- load phase: concurrent clients over a mixed endpoint set ---
-    const LABELS: [&str; 5] = ["topk", "component", "degree", "ego", "snapshot"];
-    let load_start = Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut lat: [Vec<f64>; 5] = Default::default();
-                for j in 0..per_client {
-                    let v = (j * 7 + c) % 8;
-                    // Top-k (sampled BC on the freeze) is the expensive
-                    // query; keep it a 1-in-8 minority like a dashboard
-                    // would, with cheap per-vertex lookups as the bulk.
-                    let (idx, path) = if j % 8 == 0 {
-                        (0, "/v1/query/topk?k=10&samples=4".to_owned())
-                    } else {
-                        match j % 4 {
-                            0 => (1, format!("/v1/query/component?vertex={v}")),
-                            1 => (2, format!("/v1/query/degree?vertex={v}")),
-                            2 => (3, format!("/v1/query/ego?vertex={v}")),
-                            _ => (4, "/v1/snapshot".to_owned()),
-                        }
-                    };
-                    let t0 = Instant::now();
-                    let (status, body) = serve_get(addr, &path);
-                    let dt = t0.elapsed().as_secs_f64();
-                    assert_eq!(status, 200, "client {c} {path}: {body}");
-                    assert!(serve_envelope(&body).0 >= 1, "{body}");
-                    lat[idx].push(dt);
-                }
-                lat
-            })
-        })
-        .collect();
-    let mut lat: [Vec<f64>; 5] = Default::default();
-    for worker in workers {
-        let client = worker.join().expect("client thread");
-        for (acc, mut got) in lat.iter_mut().zip(client) {
-            acc.append(&mut got);
-        }
-    }
-    let wall_s = load_start.elapsed().as_secs_f64();
-    let total: usize = lat.iter().map(Vec::len).sum();
-    let qps = total as f64 / wall_s;
-
-    // Snapshot-refresh cost straight from the ingest loop's histogram
-    // (same process, live session).
-    let refresh = graphct_stream::telemetry::SNAPSHOT_REFRESH_NS.snapshot();
-    let refresh_count = refresh.count();
-    let refresh_mean_ms = if refresh_count > 0 {
-        refresh.sum as f64 / refresh_count as f64 / 1e6
-    } else {
-        0.0
-    };
-    let (refresh_p50_ms, refresh_p99_ms) =
-        (refresh.quantile(0.5) / 1e6, refresh.quantile(0.99) / 1e6);
-
-    let stats = handle.wait();
-    assert!(stats.batches > 0, "ingest must have flowed during the load");
-
-    let mut table = Table::new(&["endpoint", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms"]);
-    let mut endpoint_json = Vec::new();
-    let mut ledger = Vec::new();
-    for (label, samples) in LABELS.iter().zip(&lat) {
-        let mean_s = samples.iter().sum::<f64>() / samples.len() as f64;
-        let (p50, p90, p99) = (
-            sample_quantile(samples, 0.50),
-            sample_quantile(samples, 0.90),
-            sample_quantile(samples, 0.99),
-        );
-        table.row(&[
-            (*label).to_owned(),
-            n(samples.len()),
-            f(mean_s * 1e3, 3),
-            f(p50 * 1e3, 3),
-            f(p90 * 1e3, 3),
-            f(p99 * 1e3, 3),
-        ]);
-        endpoint_json.push(format!(
-            "    {{\"endpoint\": \"{label}\", \"count\": {}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-            samples.len(),
-            mean_s * 1e3,
-            p50 * 1e3,
-            p90 * 1e3,
-            p99 * 1e3,
-        ));
-        ledger.push(
-            history::HistoryEntry::now("serve_load", label, opts.quick, mean_s)
-                .with_quantiles(p50, p99),
-        );
-    }
-    ledger.push(
-        history::HistoryEntry::now(
-            "serve_load",
-            "snapshot_refresh",
-            opts.quick,
-            refresh_mean_ms / 1e3,
-        )
-        .with_quantiles(refresh_p50_ms / 1e3, refresh_p99_ms / 1e3),
-    );
-    table.print();
-    println!(
-        "{total} queries from {clients} clients in {:.2}s -> {:.0} queries/sec (floor {qps_floor})",
-        wall_s, qps
-    );
-    println!(
-        "snapshot refresh: {refresh_count} freezes, mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms",
-        refresh_mean_ms, refresh_p50_ms, refresh_p99_ms
-    );
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &ledger) {
-        Ok(()) => println!(
-            "appended {} records (with quantiles) to {}",
-            ledger.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
-    }
-
-    let sustained = qps >= qps_floor;
-    let json = format!(
-        "{{\n  \"bench\": \"serve_load\",\n  \"quick\": {},\n  \"seed\": {},\n  \"clients\": {clients},\n  \"queries_total\": {total},\n  \"wall_s\": {:.3},\n  \"queries_per_sec\": {:.1},\n  \"qps_floor\": {qps_floor},\n  \"sustained\": {sustained},\n  \"oracle\": \"topk + components bit-identical to offline kernels on frozen epoch {epoch}\",\n  \"endpoints\": [\n{}\n  ],\n  \"snapshot_refresh\": {{\"count\": {refresh_count}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}\n}}\n",
-        opts.quick,
-        opts.seed,
-        wall_s,
-        qps,
-        endpoint_json.join(",\n"),
-        refresh_mean_ms,
-        refresh_p50_ms,
-        refresh_p99_ms,
-    );
-    let out = "BENCH_SERVE.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-    if !opts.quick && !sustained {
-        eprintln!("sustained {qps:.0} queries/sec is below the {qps_floor} floor");
-        std::process::exit(1);
-    }
-}
+// ------------------------------------------------------------ Trace schema
 
 /// Validate a JSON-lines trace file against the documented event schema
 /// (exit 1 on the first violating record).

@@ -333,6 +333,15 @@ fn trace_flame_round_trips_folded_stacks() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The trace honours the documented schema and carries the traversal's
+    // per-level records (classic BFS levels or batched MS-BFS waves).
+    let jsonl = std::fs::read_to_string(&trace).unwrap();
+    graphct_trace::schema::validate_jsonl(&jsonl)
+        .unwrap_or_else(|(line, e)| panic!("line {line}: {e}\n{jsonl}"));
+    assert!(
+        jsonl.contains("\"bfs_level\"") || jsonl.contains("\"msbfs_wave\""),
+        "trace has no per-level traversal record:\n{jsonl}"
+    );
 
     let out = graphct()
         .args(["trace", "flame"])

@@ -182,12 +182,7 @@ pub struct BetweennessResult {
 
 /// Per-source scratch space, reused across the sources a worker
 /// processes so allocation cost is paid once per thread, not per source.
-///
-/// Public-but-hidden so the bench crate's seed-baseline driver can run
-/// [`accumulate_source`] itself: the overhead ablation requires both
-/// arms to execute the same compiled accumulation body.
-#[doc(hidden)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     dist: Vec<u32>,
     sigma: Vec<f64>,
     delta: Vec<f64>,
@@ -199,8 +194,7 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    #[doc(hidden)]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             dist: vec![u32::MAX; n],
             sigma: vec![0.0; n],
@@ -239,11 +233,8 @@ impl Workspace {
 /// unlike a plain reachability pull, path counting must see every
 /// parent).  Both orders accumulate the same sums.
 ///
-/// Telemetry-free by design (and `#[doc(hidden)] pub` for the same
-/// reason): the bench seed baseline shares this exact compiled body, so
-/// per-source reporting lives in the callers, not here.
-#[doc(hidden)]
-pub fn accumulate_source(
+/// Telemetry-free by design: per-source reporting lives in the callers.
+pub(crate) fn accumulate_source(
     graph: &CsrGraph,
     predecessors: &CsrGraph,
     source: VertexId,
@@ -373,8 +364,7 @@ fn backward_pass(
 /// Identical scores to [`accumulate_source`] up to floating-point
 /// summation order (parents are folded in in-neighbor order rather than
 /// frontier order).
-#[doc(hidden)]
-pub fn accumulate_source_with_levels(
+pub(crate) fn accumulate_source_with_levels(
     predecessors: &CsrGraph,
     source: VertexId,
     levels: &[u32],

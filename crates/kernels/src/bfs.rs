@@ -503,8 +503,7 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
     }
 
     /// Bottom-up step (see [`pull_level`]).  Dispatches on whether a
-    /// transpose was cached; for `G = CsrGraph` both arms instantiate
-    /// the same `pull_level::<CsrGraph>` body the seed baseline calls.
+    /// transpose was cached.
     fn pull_level(
         &self,
         levels: &AtomicU32Array,
@@ -648,10 +647,7 @@ fn emit_level_event(record: &LevelRecord) {
 /// first bottom-up step, shrunk (dropping vertices claimed by
 /// intervening push levels) before each later one, so the list never
 /// goes stale.
-///
-/// Exposed (hidden) for the bench seed baseline — see [`pull_level`].
-#[doc(hidden)]
-pub fn refresh_unvisited(
+pub(crate) fn refresh_unvisited(
     levels: &AtomicU32Array,
     n: usize,
     unvisited: &mut Vec<VertexId>,
@@ -673,13 +669,7 @@ pub fn refresh_unvisited(
 /// the probing task writes a given vertex's level, so a plain store
 /// suffices (no claim contention, unlike push).  The caller guarantees
 /// `unvisited` holds exactly the vertices with no level yet.
-///
-/// Exposed (hidden) so the bench crate's uninstrumented seed baseline
-/// shares this exact compiled body — the overhead ablation must differ
-/// only in the instrumentation, not in duplicate codegen of the hot
-/// loops.
-#[doc(hidden)]
-pub fn pull_level<G: GraphView>(
+pub(crate) fn pull_level<G: GraphView>(
     in_csr: &G,
     levels: &AtomicU32Array,
     depth: u32,
@@ -708,10 +698,7 @@ pub fn pull_level<G: GraphView>(
 /// Top-down step: frontier vertices claim unvisited out-neighbors via
 /// compare-exchange on the level array (the atomic-claim idiom standing
 /// in for the XMT's synchronized memory words).
-///
-/// Exposed (hidden) for the bench seed baseline — see [`pull_level`].
-#[doc(hidden)]
-pub fn push_level<G: GraphView>(
+pub(crate) fn push_level<G: GraphView>(
     graph: &G,
     frontier: &[VertexId],
     levels: &AtomicU32Array,

@@ -82,9 +82,8 @@ pub fn triangle_counts<G: GraphView>(graph: &G) -> Result<Vec<usize>, GraphError
 
 /// The original sorted-intersection triangle counter: every triangle
 /// `v-a-b` is found at each member vertex twice (once via `a`, once via
-/// `b`).  Kept as the reference oracle the forward kernel is gated
-/// against (`repro triangles` refuses to time until both agree
-/// bit-identically) and as the baseline it is benchmarked over.
+/// `b`).  Kept as the reference oracle the forward kernel must match
+/// bit-identically (see the triadic equivalence tests).
 pub fn naive_triangle_counts<G: GraphView>(graph: &G) -> Result<Vec<usize>, GraphError> {
     if graph.is_directed() {
         return Err(GraphError::InvalidArgument(

@@ -24,8 +24,7 @@
 //!
 //! Correctness contract: per-source levels are **bit-identical** to
 //! [`sequential_bfs_levels`](crate::bfs::sequential_bfs_levels) — the
-//! equivalence suite and the `repro msbfs` exhibit assert exactly that
-//! before any timing is taken.
+//! equivalence suite asserts exactly that.
 
 use crate::bfs::{decide_direction, max_level, Direction, HybridBfs, UNREACHED};
 use graphct_core::{CsrGraph, GraphView, VertexId};

@@ -17,7 +17,7 @@
 //! get the smallest ids, prefix lists stay short, and the merge work
 //! drops toward the classic `O(m^1.5)` bound — which is why
 //! `graphct triangles --reorder degree` is a genuine speedup, not a
-//! relabeling no-op (measured by the `repro triangles` exhibit).
+//! relabeling no-op.
 //!
 //! The directed side is the Holland–Leinhardt **triad census**: every
 //! 3-vertex subgraph of a directed graph falls into one of 16 isomorphism
@@ -76,8 +76,7 @@ fn validate_triangle_input<G: GraphView>(graph: &G) -> Result<(), GraphError> {
 /// adjacency lists.
 ///
 /// Returns the same per-vertex incidence vector as the naive counter
-/// ([`crate::clustering::naive_triangle_counts`]) — the `repro
-/// triangles` exhibit gates on bit-identical agreement before timing.
+/// ([`crate::clustering::naive_triangle_counts`]), bit for bit.
 pub fn forward_triangle_counts<G: GraphView>(graph: &G) -> Result<Vec<usize>, GraphError> {
     validate_triangle_input(graph)?;
     TRIANGLE_PASSES.incr();

@@ -6,9 +6,8 @@
 //! snapshot's epoch and staleness — so a client always knows *which*
 //! graph it was answered from and how old that graph is.  Queries are
 //! pure functions of `(snapshot, query params, serve seed)`: the
-//! integration tests and `repro serve-load` recompute them offline with
-//! the same kernels and demand bit-identical answers for the same
-//! epoch.
+//! integration tests recompute them offline with the same kernels and
+//! demand bit-identical answers for the same epoch.
 //!
 //! Endpoints (all wrapped in the versioned envelope of
 //! [`crate::router`]):

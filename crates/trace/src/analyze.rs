@@ -13,7 +13,7 @@
 //! * per-level BFS push/pull work spread ([`level_imbalance`] — over the
 //!   `bfs_level` records the hybrid kernel emits), and
 //! * an A/B per-span delta table ([`diff_spans`] / [`diff_counters`] —
-//!   how `repro` attributes overhead between two runs).
+//!   how `graphct trace diff` attributes overhead between two runs).
 
 use std::collections::{BTreeMap, HashMap};
 

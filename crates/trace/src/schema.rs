@@ -1,8 +1,9 @@
 //! JSON-lines record validation.
 //!
 //! The event schema is documented in DESIGN.md § Observability; CI runs
-//! the validator over every trace produced by `repro trace-bfs` so the
-//! documented schema and the emitted records cannot drift apart.
+//! the validator (`repro trace-validate`) over the traces that
+//! `graphct stats --trace-out` and `graphct serve --trace-out` write, so
+//! the documented schema and the emitted records cannot drift apart.
 
 use crate::json::{parse, Json};
 
