@@ -66,7 +66,7 @@ USAGE:
   graphct trace promcheck <metrics.txt>        validate Prometheus exposition
   graphct help
 
-BFS tuning (stats, bc): --frontier is one of queue|bitmap|push|pull|hybrid
+BFS tuning (stats, bc): --frontier is one of push|pull|hybrid
 (default hybrid); --alpha / --beta set the direction-optimizing switch
 thresholds (push->pull when frontier edges exceed unexplored/alpha,
 pull->push when the frontier shrinks below vertices/beta).
@@ -158,38 +158,68 @@ fn main() -> ExitCode {
     }
 }
 
+/// Pull a bare `--switch` out of an argument list; giving it twice is
+/// an error.
+fn take_switch(args: &mut Vec<String>, switch: &str) -> Result<bool, String> {
+    let Some(pos) = args.iter().position(|a| a == switch) else {
+        return Ok(false);
+    };
+    args.remove(pos);
+    if args.iter().any(|a| a == switch) {
+        return Err(format!("{switch} given more than once"));
+    }
+    Ok(true)
+}
+
 /// Pull `--flag value` out of an argument list. A flag present without
-/// a following value is an error, not an absent flag.
+/// a following value, or given twice, is an error, not an absent flag.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
     let Some(pos) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
-    if pos + 1 >= args.len() {
+    if args.get(pos + 1).is_none_or(|v| v.starts_with("--")) {
         return Err(format!("{flag} requires a value"));
     }
     let value = args.remove(pos + 1);
-    args.remove(pos);
+    take_switch(args, flag)?;
     Ok(Some(value))
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("invalid value for {flag} '{value}': {e}"))
 }
 
 fn parse_flag<T: std::str::FromStr>(
     args: &mut Vec<String>,
     flag: &str,
     default: T,
-) -> Result<T, String> {
-    match take_flag(args, flag)? {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {flag}: {v}")),
-    }
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    take_flag(args, flag)?.map_or(Ok(default), |v| parse_value(flag, &v))
 }
 
-fn require_flag<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Result<T, String> {
-    take_flag(args, flag)?
-        .ok_or_else(|| format!("missing required flag {flag}"))?
-        .parse()
-        .map_err(|_| format!("invalid value for {flag}"))
+fn require_flag<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = take_flag(args, flag)?.ok_or_else(|| format!("missing required flag {flag}"))?;
+    parse_value(flag, &value)
+}
+
+/// Called once a subcommand has taken all its flags: anything left over
+/// is a typo or an option the subcommand does not have.
+fn finish_args(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        Some(extra) => Err(format!("unexpected argument '{extra}'")),
+        None => Ok(()),
+    }
 }
 
 /// Parse the shared BFS direction-optimization flags
@@ -211,10 +241,7 @@ fn parse_bfs_flags(args: &mut Vec<String>) -> Result<graphct_kernels::BfsConfig,
 /// graph, runs the kernels on `view.graph()`, and maps results back to
 /// original vertex ids through the view before printing.
 fn parse_reorder_flag(args: &mut Vec<String>) -> Result<graphct_core::ReorderKind, String> {
-    match take_flag(args, "--reorder")? {
-        None => Ok(graphct_core::ReorderKind::None),
-        Some(v) => v.parse(),
-    }
+    parse_flag(args, "--reorder", graphct_core::ReorderKind::None)
 }
 
 /// Consume the telemetry flags (`--trace`, `--trace-out`,
@@ -222,12 +249,7 @@ fn parse_reorder_flag(args: &mut Vec<String>) -> Result<graphct_core::ReorderKin
 /// of them asks for one.  The returned guard flushes the chosen sink on
 /// drop, after the command has produced its output.
 fn start_trace(args: &mut Vec<String>) -> Result<Option<graphct_trace::Session>, String> {
-    let trace = if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
+    let trace = take_switch(args, "--trace")?;
     let trace_out = take_flag(args, "--trace-out")?.map(PathBuf::from);
     let format = take_flag(args, "--metrics-format")?;
     if !trace && trace_out.is_none() && format.is_none() {
@@ -321,19 +343,10 @@ fn start_profiler(
     args: &mut Vec<String>,
     have_session: bool,
 ) -> Result<Option<ProfilerGuard>, String> {
-    let switch = if let Some(pos) = args.iter().position(|a| a == "--profile") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
-    let hz: Option<u32> = match take_flag(args, "--profile-hz")? {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value for --profile-hz: {v}"))?,
-        ),
-    };
+    let switch = take_switch(args, "--profile")?;
+    let hz: Option<u32> = take_flag(args, "--profile-hz")?
+        .map(|v| parse_value("--profile-hz", &v))
+        .transpose()?;
     let out = take_flag(args, "--profile-out")?.map(PathBuf::from);
     if !switch && hz.is_none() && out.is_none() {
         return Ok(None);
@@ -398,6 +411,7 @@ fn serve_cmd(args: &mut Vec<String>) -> Result<(), String> {
     let snapshot_every: u64 = parse_flag(args, "--snapshot-every", 8)?;
     let query_threads: usize = parse_flag(args, "--query-threads", 2)?;
     let topk: usize = parse_flag(args, "--topk", 10)?;
+    finish_args(args)?;
 
     graphct_obs::install_sigint_handler();
     let handle = graphct_obs::start(graphct_obs::ServeConfig {
@@ -476,6 +490,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         "flame" => {
             let file = next_path(args, "trace file")?;
             let out = take_flag(args, "--out")?.map(PathBuf::from);
+            finish_args(args)?;
             let folded = analyze::fold_stacks(&load_trace(&file)?);
             let text = analyze::render_folded(&folded);
             match out {
@@ -490,6 +505,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         }
         "critical-path" => {
             let file = next_path(args, "trace file")?;
+            finish_args(args)?;
             let chains = analyze::critical_paths(&load_trace(&file)?);
             if chains.is_empty() {
                 println!("no spans in trace");
@@ -513,6 +529,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         }
         "imbalance" => {
             let file = next_path(args, "trace file")?;
+            finish_args(args)?;
             let report = analyze::level_imbalance(&load_trace(&file)?);
             if report.dirs.is_empty() {
                 println!("no bfs_level telemetry in trace (run with --trace-out)");
@@ -538,6 +555,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         "histo" => {
             let file = next_path(args, "trace file")?;
             let name = take_flag(args, "--name")?;
+            finish_args(args)?;
             let mut reports = analyze::collect_histograms(&load_trace(&file)?);
             if let Some(name) = &name {
                 reports.retain(|r| &r.name == name);
@@ -595,6 +613,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         "diff" => {
             let a_path = next_path(args, "baseline trace")?;
             let b_path = next_path(args, "comparison trace")?;
+            finish_args(args)?;
             let a = load_trace(&a_path)?;
             let b = load_trace(&b_path)?;
             let rows = analyze::diff_spans(&a, &b);
@@ -635,6 +654,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         "profdiff" => {
             let a_path = next_path(args, "baseline folded dump")?;
             let b_path = next_path(args, "comparison folded dump")?;
+            finish_args(args)?;
             let load_folded = |path: &Path| -> Result<Vec<(String, u64)>, String> {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -669,6 +689,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         }
         "promcheck" => {
             let file = next_path(args, "exposition file")?;
+            finish_args(args)?;
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             match graphct_trace::schema::validate_exposition(&text) {
@@ -925,6 +946,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map(PathBuf::from)
                 .or_else(|| file.parent().map(Path::to_path_buf))
                 .unwrap_or_else(|| PathBuf::from("."));
+            finish_args(&args)?;
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             let mut engine = graphct_script::Engine::new();
@@ -942,27 +964,27 @@ fn run(args: &[String]) -> Result<(), String> {
             let kind = args.remove(0);
             let seed: u64 = parse_flag(&mut args, "--seed", 0)?;
             let out: PathBuf = require_flag(&mut args, "--out")?;
-            let edges = match kind.as_str() {
+            let generate: Box<dyn FnOnce() -> EdgeList> = match kind.as_str() {
                 "rmat" => {
                     let scale: u32 = require_flag(&mut args, "--scale")?;
                     let edge_factor: usize = parse_flag(&mut args, "--edge-factor", 16)?;
-                    graphct_gen::rmat_edges(
-                        &graphct_gen::RmatConfig::paper(scale, edge_factor),
-                        seed,
-                    )
+                    let config = graphct_gen::RmatConfig::paper(scale, edge_factor);
+                    Box::new(move || graphct_gen::rmat_edges(&config, seed))
                 }
                 "er" => {
                     let n: usize = require_flag(&mut args, "--vertices")?;
                     let m: usize = require_flag(&mut args, "--edges")?;
-                    graphct_gen::gnm(n, m, seed)
+                    Box::new(move || graphct_gen::gnm(n, m, seed))
                 }
                 "ba" => {
                     let n: usize = require_flag(&mut args, "--vertices")?;
                     let m: usize = parse_flag(&mut args, "--attach", 2)?;
-                    graphct_gen::preferential_attachment(n, m, seed)
+                    Box::new(move || graphct_gen::preferential_attachment(n, m, seed))
                 }
                 other => return Err(format!("unknown generator '{other}'")),
             };
+            finish_args(&args)?;
+            let edges = generate();
             write_edges(&out, &edges)?;
             println!("wrote {} edges to {}", edges.len(), out.display());
             Ok(())
@@ -975,6 +997,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let seed: u64 = parse_flag(&mut args, "--seed", 42)?;
             let scale_pct: f64 = parse_flag(&mut args, "--scale-pct", 100.0)?;
             let out: PathBuf = require_flag(&mut args, "--out")?;
+            finish_args(&args)?;
             let profile = parse_profile(&which, scale_pct)?;
             let (tweets, _pool) = graphct_twitter::generate_stream(&profile.config, seed);
             let tg = graphct_twitter::build_tweet_graph(&tweets).map_err(|e| e.to_string())?;
@@ -999,6 +1022,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let reorder = parse_reorder_flag(&mut args)?;
             let batch: usize = parse_flag(&mut args, "--batch", graphct_kernels::DEFAULT_BATCH)?;
             let backend = parse_backend_flag(&mut args)?;
+            finish_args(&args)?;
             if backend != Backend::Plain && reorder != graphct_core::ReorderKind::None {
                 return Err("--reorder requires --backend plain".into());
             }
@@ -1048,6 +1072,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let top: usize = parse_flag(&mut args, "--top", 10)?;
             let reorder = parse_reorder_flag(&mut args)?;
             let backend = parse_backend_flag(&mut args)?;
+            finish_args(&args)?;
             if backend != Backend::Plain && reorder != graphct_core::ReorderKind::None {
                 return Err("--reorder requires --backend plain".into());
             }
@@ -1110,6 +1135,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let reorder = parse_reorder_flag(&mut args)?;
             let batch: usize = parse_flag(&mut args, "--batch", 1)?;
             let backend = parse_backend_flag(&mut args)?;
+            finish_args(&args)?;
             if backend != Backend::Plain && reorder != graphct_core::ReorderKind::None {
                 return Err("--reorder requires --backend plain".into());
             }
@@ -1162,14 +1188,10 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let path = PathBuf::from(args.remove(0));
             let top: usize = parse_flag(&mut args, "--top", 10)?;
-            let census = if let Some(pos) = args.iter().position(|a| a == "--census") {
-                args.remove(pos);
-                true
-            } else {
-                false
-            };
+            let census = take_switch(&mut args, "--census")?;
             let reorder = parse_reorder_flag(&mut args)?;
             let backend = parse_backend_flag(&mut args)?;
+            finish_args(&args)?;
             if backend != Backend::Plain && reorder != graphct_core::ReorderKind::None {
                 return Err("--reorder requires --backend plain".into());
             }
@@ -1287,6 +1309,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let input = PathBuf::from(args.remove(0));
             let out = PathBuf::from(args.remove(0));
+            finish_args(&args)?;
             let graph = load_graph(&input)?;
             graphct_core::io::binary::save(&graph, &out).map_err(|e| e.to_string())?;
             println!(

@@ -204,7 +204,6 @@ fn script_subcommand_runs_paper_script() {
     assert!(text.contains("extracted component 1: 3 vertices"));
 }
 
-/// Write a tiny edge-list graph and return its path.
 #[test]
 fn triangles_counts_and_census() {
     let dir = temp_dir("triangles");
@@ -273,6 +272,7 @@ fn triangles_counts_and_census() {
     assert!(String::from_utf8_lossy(&bad.stderr).contains("id-invariant"));
 }
 
+/// Write a tiny edge-list graph and return its path.
 fn small_graph(dir: &Path) -> PathBuf {
     let path = dir.join("small.txt");
     std::fs::write(&path, "0 1\n1 2\n2 3\n3 0\n4 5\n").unwrap();
@@ -617,4 +617,78 @@ fn trace_histo_lists_all_histograms_without_name() {
     let detail = String::from_utf8_lossy(&out.stdout);
     assert!(detail.contains("observations over"), "{detail}");
     assert!(detail.contains("p999"), "{detail}");
+}
+
+/// Run `graphct` with `argv` and require a failure with an `error:`
+/// line whose text contains `expected`.
+fn assert_rejected(argv: &[String], expected: &str) {
+    let out = graphct().args(argv).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{argv:?} succeeded");
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("error:") && l.contains(expected)),
+        "{argv:?}: expected an error line containing {expected:?}, got:\n{err}"
+    );
+}
+
+#[test]
+fn every_subcommand_rejects_misspelled_unknown_duplicated_and_valueless_flags() {
+    let dir = temp_dir("flag_matrix");
+    let graph = small_graph(&dir).to_string_lossy().into_owned();
+    let out = dir.join("out.txt").to_string_lossy().into_owned();
+    // Per subcommand: a valid invocation, a misspelled flag with its
+    // value, and a flag that takes a value.  Serve's base is bounded so a
+    // regression that accepts the bad flag still exits.
+    let surfaces: [(&[&str], [&str; 2], [&str; 2]); 7] = [
+        (&["stats", &graph], ["--reoder", "degree"], ["--batch", "8"]),
+        (&["components", &graph], ["--tpo", "3"], ["--top", "3"]),
+        (&["bc", &graph], ["--sampels", "4"], ["--seed", "3"]),
+        (&["triangles", &graph], ["--tpo", "2"], ["--top", "2"]),
+        (
+            &["gen", "rmat", "--scale", "4", "--out", &out],
+            ["--edge-facter", "4"],
+            ["--seed", "1"],
+        ),
+        (
+            &["tweets", "atlflood", "--scale-pct", "1", "--out", &out],
+            ["--sede", "3"],
+            ["--seed", "3"],
+        ),
+        (
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--batches",
+                "1",
+                "--interval-ms",
+                "0",
+            ],
+            ["--batch-szie", "8"],
+            ["--seed", "3"],
+        ),
+    ];
+    for (base, misspelled, valued) in surfaces {
+        let with = |extra: &[&str]| -> Vec<String> {
+            base.iter().chain(extra).map(|a| a.to_string()).collect()
+        };
+        let misspelled_msg = format!("unexpected argument '{}'", misspelled[0]);
+        assert_rejected(&with(&misspelled), &misspelled_msg);
+        assert_rejected(&with(&["--bogus"]), "unexpected argument '--bogus'");
+        let twice = [valued[0], valued[1], valued[0], valued[1]];
+        assert_rejected(&with(&twice), "given more than once");
+        assert_rejected(&with(&valued[..1]), "requires a value");
+    }
+    // The retired frontier kinds are errors that name the three left.
+    for cmd in ["stats", "bc"] {
+        for kind in ["bitmap", "queue"] {
+            let argv: Vec<String> = [cmd, &graph, "--frontier", kind]
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            assert_rejected(&argv, "push|pull|hybrid");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

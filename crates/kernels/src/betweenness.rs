@@ -17,8 +17,9 @@
 //! [`SamplingStrategy::ComponentStratified`] implements the guided
 //! alternative and the bench crate measures the difference.
 
-use crate::bfs::{decide_direction, BfsConfig, Direction};
+use crate::bfs::{BfsConfig, Direction};
 use crate::components::ComponentSummary;
+use crate::traverse::LevelDriver;
 use graphct_core::{CsrGraph, GraphError, VertexId};
 use graphct_mt::rng::task_rng;
 use rand::seq::SliceRandom;
@@ -187,9 +188,7 @@ pub(crate) struct Workspace {
     sigma: Vec<f64>,
     delta: Vec<f64>,
     order: Vec<VertexId>,
-    /// Scratch for bottom-up levels: the not-yet-reached vertices,
-    /// compacted lazily (built the first time a source's forward pass
-    /// pulls, filtered before each subsequent pull level).
+    /// The level driver's unvisited-list scratch for pull levels.
     unvisited: Vec<VertexId>,
 }
 
@@ -213,7 +212,6 @@ impl Workspace {
             self.delta[v as usize] = 0.0;
         }
         self.order.clear();
-        self.unvisited.clear();
     }
 }
 
@@ -250,23 +248,19 @@ pub(crate) fn accumulate_source(
     ws.order.push(source);
 
     // Forward: expand `order` one level at a time, choosing push or pull
-    // per level with the same heuristic as `HybridBfs`.
+    // per level through the same driver as `HybridBfs`.
     let mut level_start = 0usize;
-    let mut depth = 0u32;
-    let mut frontier_edges = degrees[source as usize];
-    let mut unexplored_edges = graph.num_arcs().saturating_sub(frontier_edges);
-    let mut direction = Direction::Push;
-    let mut unvisited_built = false;
+    let mut driver = LevelDriver::new(
+        bfs,
+        n,
+        graph.num_arcs(),
+        degrees[source as usize],
+        &mut ws.unvisited,
+    );
     while level_start < ws.order.len() {
         let level_end = ws.order.len();
-        direction = decide_direction(
-            bfs,
-            direction,
-            level_end - level_start,
-            frontier_edges,
-            unexplored_edges,
-            n,
-        );
+        let direction = driver.next_direction(level_end - level_start);
+        let depth = driver.depth();
         match direction {
             Direction::Push => {
                 for i in level_start..level_end {
@@ -284,17 +278,8 @@ pub(crate) fn accumulate_source(
                 }
             }
             Direction::Pull => {
-                if unvisited_built {
-                    let dist = &ws.dist;
-                    ws.unvisited.retain(|&v| dist[v as usize] == u32::MAX);
-                } else {
-                    ws.unvisited = (0..n as VertexId)
-                        .filter(|&v| ws.dist[v as usize] == u32::MAX)
-                        .collect();
-                    unvisited_built = true;
-                }
-                for idx in 0..ws.unvisited.len() {
-                    let v = ws.unvisited[idx];
+                let dist = &ws.dist;
+                for &v in driver.unvisited(|v| dist[v as usize] == u32::MAX) {
                     for &u in predecessors.neighbors(v) {
                         if ws.dist[u as usize] == depth {
                             if ws.dist[v as usize] == u32::MAX {
@@ -307,13 +292,13 @@ pub(crate) fn accumulate_source(
                 }
             }
         }
-        frontier_edges = ws.order[level_end..]
-            .iter()
-            .map(|&v| degrees[v as usize])
-            .sum();
-        unexplored_edges = unexplored_edges.saturating_sub(frontier_edges);
+        driver.finish_level(
+            ws.order[level_end..]
+                .iter()
+                .map(|&v| degrees[v as usize])
+                .sum(),
+        );
         level_start = level_end;
-        depth += 1;
     }
 
     backward_pass(predecessors, source, ws, scores);
@@ -560,6 +545,38 @@ pub(crate) fn accumulate_for_sources(graph: &CsrGraph, sources: &[VertexId]) -> 
     scores
 }
 
+/// Coarse parallelism over sources, shared by the betweenness kernels:
+/// each task folds a chunk of `sources` into a private score vector,
+/// amortizing one `workspace()` over many source iterations, and the
+/// vectors are summed.  `accumulate` also gets each source's index in
+/// `sources`.
+pub(crate) fn sum_over_sources<W>(
+    sources: &[VertexId],
+    n: usize,
+    workspace: impl Fn() -> W + Sync,
+    accumulate: impl Fn(usize, VertexId, &mut W, &mut [f64]) + Sync,
+) -> Vec<f64> {
+    let chunk = (sources.len() / (rayon::current_num_threads() * 4).max(1)).max(1);
+    sources
+        .par_chunks(chunk)
+        .enumerate()
+        .map(|(c, chunk_sources)| {
+            let mut ws = workspace();
+            let mut local = vec![0.0f64; n];
+            for (i, &s) in chunk_sources.iter().enumerate() {
+                accumulate(c * chunk + i, s, &mut ws, &mut local);
+            }
+            local
+        })
+        .reduce(
+            || vec![0.0f64; n],
+            |mut a, b| {
+                a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+                a
+            },
+        )
+}
+
 /// Compute betweenness centrality under `config`.
 ///
 /// Parallelism is coarse over sources: workers fold disjoint chunks of
@@ -609,68 +626,29 @@ pub fn betweenness_centrality(
         graph
     };
 
-    // Chunk the sources so each rayon task amortizes one workspace over
-    // many Brandes iterations.
-    let degrees = graph.degrees();
-    let chunk = (sources.len() / (rayon::current_num_threads() * 4).max(1)).max(1);
+    let workspace = || Workspace::new(n);
     let mut scores = if config.batch > 1 {
         // Batched forward pass: one MS-BFS sweep computes every source's
-        // distances (64 sources per adjacency scan), then each chunk
+        // distances (64 sources per adjacency scan), then each source
         // rebuilds path counts from its precomputed levels.
         let engine = crate::bfs::HybridBfs::with_config(graph, config.bfs);
         let levels = crate::msbfs::MsBfs::new(&engine).levels_many(&sources, config.batch);
-        sources
-            .par_chunks(chunk)
-            .zip(levels.par_chunks(chunk))
-            .map(|(chunk_sources, chunk_levels)| {
-                let mut ws = Workspace::new(n);
-                let mut local = vec![0.0f64; n];
-                for (&s, lv) in chunk_sources.iter().zip(chunk_levels) {
-                    let t = graphct_trace::enabled().then(std::time::Instant::now);
-                    accumulate_source_with_levels(predecessors, s, lv, &mut ws, &mut local);
-                    if let Some(t) = t {
-                        report_source(s, ws.order.len(), t.elapsed());
-                    }
-                }
-                local
-            })
-            .reduce(
-                || vec![0.0f64; n],
-                |mut a, b| {
-                    a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
-                    a
-                },
-            )
+        sum_over_sources(&sources, n, workspace, |i, s, ws, local| {
+            let t = graphct_trace::enabled().then(std::time::Instant::now);
+            accumulate_source_with_levels(predecessors, s, &levels[i], ws, local);
+            if let Some(t) = t {
+                report_source(s, ws.order.len(), t.elapsed());
+            }
+        })
     } else {
-        sources
-            .par_chunks(chunk)
-            .map(|chunk_sources| {
-                let mut ws = Workspace::new(n);
-                let mut local = vec![0.0f64; n];
-                for &s in chunk_sources {
-                    let t = graphct_trace::enabled().then(std::time::Instant::now);
-                    accumulate_source(
-                        graph,
-                        predecessors,
-                        s,
-                        &config.bfs,
-                        &degrees,
-                        &mut ws,
-                        &mut local,
-                    );
-                    if let Some(t) = t {
-                        report_source(s, ws.order.len(), t.elapsed());
-                    }
-                }
-                local
-            })
-            .reduce(
-                || vec![0.0f64; n],
-                |mut a, b| {
-                    a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
-                    a
-                },
-            )
+        let degrees = graph.degrees();
+        sum_over_sources(&sources, n, workspace, |_, s, ws, local| {
+            let t = graphct_trace::enabled().then(std::time::Instant::now);
+            accumulate_source(graph, predecessors, s, &config.bfs, &degrees, ws, local);
+            if let Some(t) = t {
+                report_source(s, ws.order.len(), t.elapsed());
+            }
+        })
     };
 
     let mut scale = 1.0;

@@ -5,21 +5,19 @@
 //! level-synchronous BFS.  The engine is *direction-optimizing* (Beamer
 //! et al., SC'12): sparse frontiers expand top-down ("push"), dense
 //! frontiers are absorbed bottom-up ("pull"), and [`HybridBfs`] switches
-//! per level based on how many edges each step would inspect.  The
-//! legacy push-only queue and bitmap sweeps remain available as forced
-//! modes for ablation (the bench crate measures all three).
+//! per level based on how many edges each step would inspect; the
+//! per-level policy lives in the crate's one level driver
+//! (`traverse::LevelDriver`), shared with the batched and betweenness
+//! traversals.  Push and pull can also be forced for every level.
 //!
 //! [`HybridBfs`] is **the** BFS engine: construct it once per graph
 //! (caching the degree table and, when needed, the transpose) and call
-//! [`HybridBfs::levels`] or [`HybridBfs::run`] per source.  The free
-//! functions [`bfs_levels`], [`parallel_bfs_levels`] and
-//! [`parallel_bfs_with`] survive as thin convenience wrappers that
-//! construct a throwaway engine — fine for one-off searches, wasteful
-//! in loops; new code should hold a `HybridBfs`.
-//! [`sequential_bfs_levels`] is deliberately *not* a wrapper: it is the
-//! textbook queue implementation kept as the independent verification
-//! oracle and ablation control.
+//! [`HybridBfs::levels`] or [`HybridBfs::run`] per source.
+//! [`sequential_bfs_levels`] is deliberately *not* routed through it: it
+//! is the textbook queue implementation kept as the independent
+//! verification oracle.
 
+use crate::traverse::LevelDriver;
 use graphct_core::{CsrGraph, GraphView, VertexId};
 use graphct_mt::{AtomicBitmap, AtomicU32Array, Frontier};
 use rayon::prelude::*;
@@ -36,7 +34,7 @@ pub const DEFAULT_ALPHA: f64 = 15.0;
 /// frontier shrinks below `1/beta` of all vertices.
 pub const DEFAULT_BETA: f64 = 18.0;
 
-/// Frontier / direction policy for [`parallel_bfs_levels`].
+/// Frontier / direction policy for [`HybridBfs`].
 ///
 /// A level-synchronous BFS can expand a level two ways:
 ///
@@ -53,16 +51,9 @@ pub const DEFAULT_BETA: f64 = 18.0;
 /// [`BfsConfig`]; the other variants force a single strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontierKind {
-    /// Push-only with a packed vertex queue (work proportional to the
-    /// frontier; best for the persistently sparse frontiers of
-    /// high-diameter graphs, and the classic GraphCT formulation).
-    Queue,
-    /// Push-only driven by a full-vertex bitmap sweep: each level scans
-    /// all vertices and expands members of the frontier bitmap (legacy
-    /// mode kept for ablation; superseded by `Pull` on dense frontiers).
-    Bitmap,
-    /// Force top-down expansion on every level (alias of `Queue`
-    /// semantics inside the hybrid engine).
+    /// Force top-down expansion of a packed vertex queue on every level
+    /// (the classic GraphCT formulation; best for the persistently sparse
+    /// frontiers of high-diameter graphs).
     Push,
     /// Force bottom-up expansion on every level.  Requires in-neighbors:
     /// on directed graphs [`HybridBfs`] materializes the transpose.
@@ -78,13 +69,11 @@ impl std::str::FromStr for FrontierKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "queue" => Ok(FrontierKind::Queue),
-            "bitmap" => Ok(FrontierKind::Bitmap),
             "push" => Ok(FrontierKind::Push),
             "pull" => Ok(FrontierKind::Pull),
             "hybrid" => Ok(FrontierKind::Hybrid),
             other => Err(format!(
-                "unknown frontier kind `{other}` (expected queue|bitmap|push|pull|hybrid)"
+                "unknown frontier kind `{other}` (expected push|pull|hybrid)"
             )),
         }
     }
@@ -112,7 +101,7 @@ impl std::str::FromStr for FrontierKind {
 /// frontier edges are cheaper than any bottom-up sweep).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BfsConfig {
-    /// Direction policy (forced push/pull/legacy, or per-level hybrid).
+    /// Direction policy (forced push or pull, or per-level hybrid).
     pub frontier: FrontierKind,
     /// Push→pull threshold on the edge ratio `m_f / m_u`.
     pub alpha: f64,
@@ -247,8 +236,7 @@ pub struct BfsRun {
 /// This is deliberately *not* routed through [`HybridBfs`]: a plain
 /// `VecDeque` traversal with no direction heuristic, no atomics and no
 /// telemetry, kept as the independent verification oracle the test
-/// suites compare every other traversal against, and as the ablation
-/// control the bench crate times.
+/// suites compare every other traversal against.
 pub fn sequential_bfs_levels<G: GraphView>(graph: &G, source: VertexId) -> Vec<u32> {
     let n = graph.num_vertices();
     assert!((source as usize) < n, "source vertex out of range");
@@ -266,17 +254,6 @@ pub fn sequential_bfs_levels<G: GraphView>(graph: &G, source: VertexId) -> Vec<u
         }
     }
     levels
-}
-
-/// BFS levels from `source`.
-///
-/// **Deprecated-by-convention** (kept attribute-free to avoid churn in
-/// downstream `#[deny(warnings)]` builds): new code should construct a
-/// [`HybridBfs`] and call [`HybridBfs::levels`] — this wrapper builds a
-/// throwaway engine per call.  For the sequential oracle semantics this
-/// function used to implement directly, see [`sequential_bfs_levels`].
-pub fn bfs_levels(graph: &CsrGraph, source: VertexId) -> Vec<u32> {
-    HybridBfs::new(graph).levels(source)
 }
 
 /// Reusable direction-optimizing BFS engine, generic over any
@@ -349,9 +326,6 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
     pub fn run(&self, source: VertexId) -> BfsRun {
         let n = self.graph.num_vertices();
         assert!((source as usize) < n, "source vertex out of range");
-        if self.config.frontier == FrontierKind::Bitmap {
-            return self.run_bitmap_sweep(source);
-        }
         let _bfs_span = if graphct_trace::enabled() {
             self.open_bfs_span(source, n)
         } else {
@@ -360,47 +334,36 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
         let levels = AtomicU32Array::filled(n, UNREACHED);
         levels.store(source as usize, 0);
         let mut frontier = Frontier::sparse(vec![source]);
-        let mut depth = 0u32;
-        // Beamer bookkeeping: edges incident to the frontier vs. edges
-        // incident to unexplored vertices.
-        let mut frontier_edges = self.degrees[source as usize];
-        let mut unexplored_edges = self.graph.num_arcs().saturating_sub(frontier_edges);
-        let mut direction = Direction::Push;
+        let mut unvisited = Vec::new();
+        let mut driver = LevelDriver::new(
+            &self.config,
+            n,
+            self.graph.num_arcs(),
+            self.degrees[source as usize],
+            &mut unvisited,
+        );
         let mut directions = Vec::new();
         let mut level_records = Vec::new();
         let mut edges_inspected = 0usize;
-        let mut push_edges = 0usize;
-        let mut pull_edges = 0usize;
-        // Unvisited-vertex list for pull levels, built lazily at the
-        // first bottom-up step and shrunk before each later one (claims
-        // made by intervening push levels are filtered out by the same
-        // retain, so the list never goes stale).
-        let mut unvisited: Vec<VertexId> = Vec::new();
-        let mut unvisited_built = false;
         while !frontier.is_empty() {
             let frontier_vertices = frontier.len();
-            direction = self.choose_direction(
-                direction,
-                frontier_vertices,
-                frontier_edges,
-                unexplored_edges,
-                n,
-            );
-            directions.push(direction);
+            let direction = driver.next_direction(frontier_vertices);
+            let depth = driver.depth();
+            let frontier_edges = driver.frontier_edges();
             let wave_start = graphct_trace::enabled().then(std::time::Instant::now);
-            let level_inspected;
-            let next = match direction {
-                Direction::Push => {
-                    level_inspected = frontier_edges;
-                    push_edges += frontier_edges;
-                    push_level(self.graph, &frontier.into_sparse(), &levels, depth + 1)
-                }
+            let (next, level_inspected) = match direction {
+                Direction::Push => (
+                    push_level(self.graph, &frontier.into_sparse(), &levels, depth + 1),
+                    frontier_edges,
+                ),
                 Direction::Pull => {
-                    refresh_unvisited(&levels, n, &mut unvisited, &mut unvisited_built);
-                    let (next, inspected) = self.pull_level(&levels, depth, &unvisited);
-                    level_inspected = inspected;
-                    pull_edges += inspected;
-                    next
+                    let unvisited = driver.unvisited(|v| levels.load(v as usize) == UNREACHED);
+                    // Pull along in-edges: the cached transpose when the
+                    // engine built one, the (symmetric) graph otherwise.
+                    match &self.transpose {
+                        Some(t) => pull_level(t, &levels, depth, unvisited),
+                        None => pull_level(self.graph, &levels, depth, unvisited),
+                    }
                 }
             };
             if let Some(t) = wave_start {
@@ -412,17 +375,16 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
                 direction,
                 frontier_vertices,
                 frontier_edges,
-                unexplored_edges,
+                unexplored_edges: driver.unexplored_edges(),
                 edges_inspected: level_inspected,
             };
             if graphct_trace::enabled() {
                 emit_level_event(&record);
             }
+            directions.push(direction);
             level_records.push(record);
-            frontier_edges = next.edge_weight(&self.degrees);
-            unexplored_edges = unexplored_edges.saturating_sub(frontier_edges);
+            driver.finish_level(next.edge_weight(&self.degrees));
             frontier = next;
-            depth += 1;
         }
         let run = BfsRun {
             levels: levels.into_vec(),
@@ -431,7 +393,7 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
             level_records,
         };
         if graphct_trace::enabled() {
-            self.report_run_telemetry(&run, push_edges, pull_edges);
+            self.report_run_telemetry(&run);
         }
         run
     }
@@ -450,23 +412,26 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
         )
     }
 
-    /// End-of-run counters and the frontier-size histogram.  Everything
-    /// here is behind one `enabled()` check, so untraced runs skip it.
+    /// End-of-run counters and the frontier-size histogram, called only
+    /// from traced runs.
     #[cold]
     #[inline(never)]
-    fn report_run_telemetry(&self, run: &BfsRun, push_edges: usize, pull_edges: usize) {
-        if !graphct_trace::enabled() {
-            return;
-        }
-        crate::telemetry::BFS_EDGES_SCANNED_PUSH.add(push_edges as u64);
+    fn report_run_telemetry(&self, run: &BfsRun) {
+        let pull_edges: usize = run
+            .level_records
+            .iter()
+            .filter(|r| r.direction == Direction::Pull)
+            .map(|r| r.edges_inspected)
+            .sum();
+        crate::telemetry::BFS_EDGES_SCANNED_PUSH.add((run.edges_inspected - pull_edges) as u64);
         crate::telemetry::BFS_EDGES_SCANNED_PULL.add(pull_edges as u64);
-        let pushes = run
+        let pulls = run
             .directions
             .iter()
-            .filter(|&&d| d == Direction::Push)
+            .filter(|&&d| d == Direction::Pull)
             .count();
-        crate::telemetry::BFS_LEVELS_PUSH.add(pushes as u64);
-        crate::telemetry::BFS_LEVELS_PULL.add((run.directions.len() - pushes) as u64);
+        crate::telemetry::BFS_LEVELS_PUSH.add((run.directions.len() - pulls) as u64);
+        crate::telemetry::BFS_LEVELS_PULL.add(pulls as u64);
         let visited = run.levels.iter().filter(|&&l| l != UNREACHED).count();
         crate::telemetry::BFS_VERTICES_VISITED.add(visited as u64);
         let frontier_sizes: Vec<usize> = run
@@ -481,120 +446,11 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
             graphct_trace::histogram("bfs_frontier_size", &edges, &counts);
         }
     }
-
-    /// Per-level direction decision (see [`BfsConfig`] for the
-    /// criterion).
-    fn choose_direction(
-        &self,
-        current: Direction,
-        frontier_vertices: usize,
-        frontier_edges: usize,
-        unexplored_edges: usize,
-        num_vertices: usize,
-    ) -> Direction {
-        decide_direction(
-            &self.config,
-            current,
-            frontier_vertices,
-            frontier_edges,
-            unexplored_edges,
-            num_vertices,
-        )
-    }
-
-    /// Bottom-up step (see [`pull_level`]).  Dispatches on whether a
-    /// transpose was cached.
-    fn pull_level(
-        &self,
-        levels: &AtomicU32Array,
-        depth: u32,
-        unvisited: &[VertexId],
-    ) -> (Frontier, usize) {
-        match &self.transpose {
-            Some(t) => pull_level(t, levels, depth, unvisited),
-            None => pull_level(self.graph, levels, depth, unvisited),
-        }
-    }
-
-    /// Legacy full-vertex bitmap sweep (push work discovered by scanning
-    /// all vertices each level), kept for ablation comparisons.
-    fn run_bitmap_sweep(&self, source: VertexId) -> BfsRun {
-        let n = self.graph.num_vertices();
-        let levels = AtomicU32Array::filled(n, UNREACHED);
-        levels.store(source as usize, 0);
-        let mut current = AtomicBitmap::new(n);
-        current.set(source as usize);
-        let mut depth = 0u32;
-        let mut frontier_size = 1usize;
-        let mut directions = Vec::new();
-        let mut level_records = Vec::new();
-        let mut unexplored_edges = self
-            .graph
-            .num_arcs()
-            .saturating_sub(self.degrees[source as usize]);
-        let mut edges_inspected = 0usize;
-        while frontier_size > 0 {
-            directions.push(Direction::Push);
-            let next = AtomicBitmap::new(n);
-            let next_depth = depth + 1;
-            let (claimed, inspected) = (0..n)
-                .into_par_iter()
-                .map(|u| {
-                    if !current.get(u) {
-                        return (0usize, 0usize);
-                    }
-                    let mut count = 0;
-                    for v in self.graph.neighbors_iter(u as VertexId) {
-                        if levels
-                            .compare_exchange(v as usize, UNREACHED, next_depth)
-                            .is_ok()
-                        {
-                            next.set(v as usize);
-                            count += 1;
-                        }
-                    }
-                    (count, self.degrees[u])
-                })
-                .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-            level_records.push(LevelRecord {
-                level: depth,
-                direction: Direction::Push,
-                frontier_vertices: frontier_size,
-                frontier_edges: inspected,
-                unexplored_edges,
-                edges_inspected: inspected,
-            });
-            current = next;
-            frontier_size = claimed;
-            depth = next_depth;
-            edges_inspected += inspected;
-            unexplored_edges = unexplored_edges.saturating_sub(inspected);
-        }
-        let run = BfsRun {
-            levels: levels.into_vec(),
-            directions,
-            edges_inspected,
-            level_records,
-        };
-        self.report_run_telemetry(&run, edges_inspected, 0);
-        run
-    }
 }
 
-impl HybridBfs<'_, CsrGraph> {
-    /// The in-neighbor CSR pull levels scan: the cached transpose on
-    /// directed graphs, the (symmetric) graph itself otherwise.  Only
-    /// the plain-CSR engine can lend the graph itself as a CSR; other
-    /// backends expose the transpose via
-    /// [`HybridBfs::cached_transpose`].
-    pub fn in_csr(&self) -> &CsrGraph {
-        self.transpose.as_ref().unwrap_or(self.graph)
-    }
-}
-
-/// The per-level direction decision shared by [`HybridBfs`] and the
-/// level-synchronous forward passes of the betweenness kernels (see
-/// [`BfsConfig`] for the criterion).
+/// The per-level direction decision every direction-optimizing traversal
+/// makes through the crate's level driver (see [`BfsConfig`] for the
+/// criterion).
 ///
 /// Public so recorded traversals are replayable offline: feeding a
 /// [`LevelRecord`]'s inputs (and the previous level's direction) back
@@ -610,7 +466,7 @@ pub fn decide_direction(
     num_vertices: usize,
 ) -> Direction {
     match config.frontier {
-        FrontierKind::Queue | FrontierKind::Bitmap | FrontierKind::Push => Direction::Push,
+        FrontierKind::Push => Direction::Push,
         FrontierKind::Pull => Direction::Pull,
         FrontierKind::Hybrid => match current {
             Direction::Push
@@ -643,33 +499,13 @@ fn emit_level_event(record: &LevelRecord) {
     );
 }
 
-/// Maintain the unvisited-vertex list for pull levels: built at the
-/// first bottom-up step, shrunk (dropping vertices claimed by
-/// intervening push levels) before each later one, so the list never
-/// goes stale.
-pub(crate) fn refresh_unvisited(
-    levels: &AtomicU32Array,
-    n: usize,
-    unvisited: &mut Vec<VertexId>,
-    built: &mut bool,
-) {
-    if *built {
-        unvisited.retain(|&v| levels.load(v as usize) == UNREACHED);
-    } else {
-        *unvisited = (0..n as VertexId)
-            .filter(|&v| levels.load(v as usize) == UNREACHED)
-            .collect();
-        *built = true;
-    }
-}
-
 /// Bottom-up step: every vertex in `unvisited` probes its in-neighbors
 /// (`in_csr` is the transpose, or the graph itself when undirected) for
 /// a parent on the `depth` frontier, stopping at the first hit.  Only
 /// the probing task writes a given vertex's level, so a plain store
 /// suffices (no claim contention, unlike push).  The caller guarantees
 /// `unvisited` holds exactly the vertices with no level yet.
-pub(crate) fn pull_level<G: GraphView>(
+fn pull_level<G: GraphView>(
     in_csr: &G,
     levels: &AtomicU32Array,
     depth: u32,
@@ -698,7 +534,7 @@ pub(crate) fn pull_level<G: GraphView>(
 /// Top-down step: frontier vertices claim unvisited out-neighbors via
 /// compare-exchange on the level array (the atomic-claim idiom standing
 /// in for the XMT's synchronized memory words).
-pub(crate) fn push_level<G: GraphView>(
+fn push_level<G: GraphView>(
     graph: &G,
     frontier: &[VertexId],
     levels: &AtomicU32Array,
@@ -716,35 +552,6 @@ pub(crate) fn push_level<G: GraphView>(
     Frontier::sparse(next)
 }
 
-/// Parallel level-synchronous BFS from `source`.
-///
-/// **Deprecated-by-convention** (kept attribute-free to avoid churn in
-/// downstream `#[deny(warnings)]` builds): a thin wrapper over
-/// [`HybridBfs`], which new code should construct directly.  Output is
-/// identical to [`sequential_bfs_levels`] for every [`FrontierKind`];
-/// the kind only changes how each level is expanded.  This convenience
-/// rebuilds the degree table — and, for directed graphs under
-/// pull-capable kinds, the transpose — per call.
-pub fn parallel_bfs_levels<G: GraphView>(
-    graph: &G,
-    source: VertexId,
-    frontier: FrontierKind,
-) -> Vec<u32> {
-    HybridBfs::with_config(graph, BfsConfig::from_kind(frontier)).levels(source)
-}
-
-/// Parallel BFS with explicit direction-optimization tuning.
-///
-/// **Deprecated-by-convention**: thin wrapper over [`HybridBfs`]; see
-/// [`parallel_bfs_levels`].
-pub fn parallel_bfs_with<G: GraphView>(
-    graph: &G,
-    source: VertexId,
-    config: &BfsConfig,
-) -> Vec<u32> {
-    HybridBfs::with_config(graph, *config).levels(source)
-}
-
 /// BFS limited to `max_depth` levels — GraphCT's "marking a breadth-first
 /// search from a given vertex of a given length" kernel (paper §IV-A).
 /// Vertices further than `max_depth` stay `UNREACHED`.
@@ -754,19 +561,11 @@ pub fn bfs_levels_bounded<G: GraphView>(graph: &G, source: VertexId, max_depth: 
     let levels = AtomicU32Array::filled(n, UNREACHED);
     levels.store(source as usize, 0);
     let mut frontier = vec![source];
-    let mut depth = 0u32;
-    while !frontier.is_empty() && depth < max_depth {
-        let next_depth = depth + 1;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&u| graph.neighbors_iter(u))
-            .filter(|&v| {
-                levels
-                    .compare_exchange(v as usize, UNREACHED, next_depth)
-                    .is_ok()
-            })
-            .collect();
-        depth = next_depth;
+    for depth in 1..=max_depth {
+        if frontier.is_empty() {
+            break;
+        }
+        frontier = push_level(graph, &frontier, &levels, depth).into_sparse();
     }
     levels.into_vec()
 }
@@ -785,16 +584,8 @@ pub fn max_level(levels: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphct_core::builder::{build_directed_simple, build_undirected_simple};
+    use graphct_core::builder::build_undirected_simple;
     use graphct_core::EdgeList;
-
-    const ALL_KINDS: [FrontierKind; 5] = [
-        FrontierKind::Queue,
-        FrontierKind::Bitmap,
-        FrontierKind::Push,
-        FrontierKind::Pull,
-        FrontierKind::Hybrid,
-    ];
 
     fn graph(edges: &[(u32, u32)]) -> CsrGraph {
         build_undirected_simple(&EdgeList::from_pairs(edges.to_vec())).unwrap()
@@ -803,14 +594,15 @@ mod tests {
     #[test]
     fn path_levels() {
         let g = graph(&[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(bfs_levels(&g, 0), vec![0, 1, 2, 3]);
-        assert_eq!(bfs_levels(&g, 2), vec![2, 1, 0, 1]);
+        let engine = HybridBfs::new(&g);
+        assert_eq!(engine.levels(0), vec![0, 1, 2, 3]);
+        assert_eq!(engine.levels(2), vec![2, 1, 0, 1]);
     }
 
     #[test]
     fn disconnected_stays_unreached() {
         let g = graph(&[(0, 1), (2, 3)]);
-        let l = bfs_levels(&g, 0);
+        let l = HybridBfs::new(&g).levels(0);
         assert_eq!(l[0], 0);
         assert_eq!(l[1], 1);
         assert_eq!(l[2], UNREACHED);
@@ -818,70 +610,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_variants_match_sequential() {
-        // A graph with branching, a cycle, and a pendant.
-        let g = graph(&[
-            (0, 1),
-            (0, 2),
-            (1, 3),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (5, 0),
-            (4, 6),
-            (7, 8),
-        ]);
-        for src in 0..g.num_vertices() as u32 {
-            let seq = sequential_bfs_levels(&g, src);
-            for kind in ALL_KINDS {
-                assert_eq!(parallel_bfs_levels(&g, src, kind), seq, "{kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn larger_random_graph_agreement() {
-        // Deterministic LCG edges over 2000 vertices.
-        let mut edges = Vec::new();
-        let mut x = 99u64;
-        for _ in 0..6000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let s = ((x >> 32) % 2000) as u32;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let t = ((x >> 32) % 2000) as u32;
-            edges.push((s, t));
-        }
-        let g = graph(&edges);
-        for src in [0u32, 7, 1234] {
-            let seq = sequential_bfs_levels(&g, src);
-            for kind in ALL_KINDS {
-                assert_eq!(parallel_bfs_levels(&g, src, kind), seq, "{kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn directed_pull_uses_transpose() {
-        // Directed chain plus a shortcut; in-neighbors differ from
-        // out-neighbors, so pull correctness depends on the transpose.
-        let g = build_directed_simple(&EdgeList::from_pairs(vec![
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (0, 3),
-            (3, 4),
-        ]))
-        .unwrap();
-        let seq = sequential_bfs_levels(&g, 0);
-        for kind in ALL_KINDS {
-            assert_eq!(parallel_bfs_levels(&g, 0, kind), seq, "{kind:?}");
-        }
-    }
-
-    #[test]
     fn hybrid_switches_directions_on_a_hub() {
         // A broadcast hub: level 1 holds nearly every vertex, so the
-        // default thresholds must trigger at least one pull level.
+        // default thresholds must trigger at least one pull level (forced
+        // directions are the level driver's own tests).
         let n = 4000u32;
         let edges: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
         let g = graph(&edges);
@@ -893,12 +625,6 @@ mod tests {
             "expected a pull level, got {:?}",
             run.directions
         );
-        // Forced push never pulls.
-        let push = HybridBfs::with_config(&g, BfsConfig::push_only()).run(0);
-        assert!(push.directions.iter().all(|&d| d == Direction::Push));
-        // Forced pull never pushes.
-        let pull = HybridBfs::with_config(&g, BfsConfig::pull_only()).run(0);
-        assert!(pull.directions.iter().all(|&d| d == Direction::Pull));
     }
 
     #[test]
@@ -936,15 +662,16 @@ mod tests {
     #[test]
     fn frontier_kind_parses() {
         for (text, kind) in [
-            ("queue", FrontierKind::Queue),
-            ("Bitmap", FrontierKind::Bitmap),
             ("PUSH", FrontierKind::Push),
             ("pull", FrontierKind::Pull),
-            ("hybrid", FrontierKind::Hybrid),
+            ("Hybrid", FrontierKind::Hybrid),
         ] {
             assert_eq!(text.parse::<FrontierKind>().unwrap(), kind);
         }
-        assert!("dfs".parse::<FrontierKind>().is_err());
+        for retired in ["dfs", "queue", "bitmap"] {
+            let err = retired.parse::<FrontierKind>().unwrap_err();
+            assert!(err.contains("push|pull|hybrid"), "{err}");
+        }
     }
 
     #[test]
@@ -969,15 +696,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_source_panics() {
         let g = graph(&[(0, 1)]);
-        bfs_levels(&g, 9);
-    }
-
-    #[test]
-    fn single_vertex_graph() {
-        let g = CsrGraph::empty(1, false);
-        assert_eq!(bfs_levels(&g, 0), vec![0]);
-        for kind in ALL_KINDS {
-            assert_eq!(parallel_bfs_levels(&g, 0, kind), vec![0], "{kind:?}");
-        }
+        HybridBfs::new(&g).levels(9);
     }
 }

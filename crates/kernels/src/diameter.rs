@@ -58,39 +58,27 @@ pub fn estimate_diameter(
     multiplier: u32,
     seed: u64,
 ) -> DiameterEstimate {
-    estimate_diameter_with(graph, samples, multiplier, seed, &BfsConfig::default())
-}
-
-/// [`estimate_diameter`] with explicit BFS direction-optimization
-/// tuning.  The [`HybridBfs`] engine is built once and shared by all
-/// sampled sources, so transpose/degree setup is amortized.
-///
-/// Sources run through the bit-parallel [`MsBfs`] engine in
-/// [`DEFAULT_BATCH`](crate::msbfs::DEFAULT_BATCH)-wide waves; per-source
-/// levels are bit-identical to single-source BFS, so the estimate is
-/// unchanged — only the adjacency-scan count drops.
-pub fn estimate_diameter_with(
-    graph: &CsrGraph,
-    samples: usize,
-    multiplier: u32,
-    seed: u64,
-    bfs: &BfsConfig,
-) -> DiameterEstimate {
+    let batch = crate::msbfs::DEFAULT_BATCH;
     estimate_diameter_batched(
         graph,
         samples,
         multiplier,
         seed,
-        bfs,
-        crate::msbfs::DEFAULT_BATCH,
+        &BfsConfig::default(),
+        batch,
     )
 }
 
-/// [`estimate_diameter_with`] with an explicit MS-BFS batch width (the
-/// CLI's `--batch`).  `batch <= 1` runs the classic one-task-per-source
-/// path; larger widths (clamped to
-/// [`MAX_BATCH`](crate::msbfs::MAX_BATCH)) share each adjacency scan
-/// across up to that many sources.
+/// [`estimate_diameter`] with explicit BFS direction-optimization tuning
+/// and MS-BFS batch width (the CLI's `--frontier`/`--alpha`/`--beta` and
+/// `--batch`).  The [`HybridBfs`] engine is built once and shared by all
+/// sampled sources, so transpose/degree setup is amortized.
+///
+/// `batch <= 1` runs the classic one-task-per-source path; larger widths
+/// (clamped to [`MAX_BATCH`](crate::msbfs::MAX_BATCH)) run the
+/// bit-parallel [`MsBfs`] engine, sharing each adjacency scan across up
+/// to that many sources.  Per-source levels are bit-identical either
+/// way, so the estimate is too — only the adjacency-scan count drops.
 pub fn estimate_diameter_batched(
     graph: &CsrGraph,
     samples: usize,
@@ -137,11 +125,6 @@ pub fn estimate_diameter_batched(
     }
 }
 
-/// Estimate with the paper's defaults (256 sources, multiplier 4).
-pub fn estimate_diameter_default(graph: &CsrGraph, seed: u64) -> DiameterEstimate {
-    estimate_diameter(graph, DEFAULT_SAMPLES, DEFAULT_MULTIPLIER, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +147,7 @@ mod tests {
     #[test]
     fn multiplier_applies() {
         let g = graph(&[(0, 1), (1, 2)]);
-        let d = estimate_diameter_default(&g, 0);
+        let d = estimate_diameter(&g, DEFAULT_SAMPLES, DEFAULT_MULTIPLIER, 0);
         assert_eq!(d.max_distance_found, 2);
         assert_eq!(d.estimate, 8);
     }
@@ -212,7 +195,7 @@ mod tests {
             BfsConfig::pull_only(),
             BfsConfig::hybrid(),
         ] {
-            assert_eq!(estimate_diameter_with(&g, 16, 4, 9, &cfg), baseline);
+            assert_eq!(estimate_diameter_batched(&g, 16, 4, 9, &cfg, 64), baseline);
         }
     }
 
@@ -226,11 +209,8 @@ mod tests {
             let d = estimate_diameter_batched(&g, 70, 4, 3, &BfsConfig::default(), batch);
             assert_eq!(d, baseline, "batch {batch}");
         }
-        // The default engine routes through MS-BFS and must agree too.
-        assert_eq!(
-            estimate_diameter_with(&g, 70, 4, 3, &BfsConfig::default()),
-            baseline
-        );
+        // The default entry point routes through MS-BFS and must agree too.
+        assert_eq!(estimate_diameter(&g, 70, 4, 3), baseline);
     }
 
     #[test]

@@ -51,8 +51,9 @@
 //! closed walks would require triangle counts), and matches the range the
 //! paper exercises.
 
-use crate::betweenness::{select_sources, BetweennessResult, SamplingSpec};
-use crate::bfs::{decide_direction, BfsConfig, Direction};
+use crate::betweenness::{select_sources, sum_over_sources, BetweennessResult, SamplingSpec};
+use crate::bfs::{BfsConfig, Direction};
+use crate::traverse::LevelDriver;
 use graphct_core::{CsrGraph, GraphError, VertexId};
 use rayon::prelude::*;
 
@@ -107,7 +108,7 @@ struct KWorkspace {
     sigma: Vec<f64>,     // [v * k1 + j]
     sigma_hat: Vec<f64>, // [v]
     f: Vec<f64>,         // [v * k1 + c]
-    /// Scratch for bottom-up BFS levels (see `betweenness::Workspace`).
+    /// The level driver's unvisited-list scratch for pull levels.
     unvisited: Vec<VertexId>,
 }
 
@@ -138,7 +139,6 @@ impl KWorkspace {
         }
         self.order.clear();
         self.level_start.clear();
-        self.unvisited.clear();
     }
 }
 
@@ -163,21 +163,17 @@ fn accumulate_source_kbc(
     ws.order.push(source);
     ws.level_start.push(0);
     let mut level_begin = 0usize;
-    let mut depth = 0u32;
-    let mut frontier_edges = graph.degree(source);
-    let mut unexplored_edges = graph.num_arcs().saturating_sub(frontier_edges);
-    let mut direction = Direction::Push;
-    let mut unvisited_built = false;
+    let mut driver = LevelDriver::new(
+        bfs,
+        n,
+        graph.num_arcs(),
+        graph.degree(source),
+        &mut ws.unvisited,
+    );
     while level_begin < ws.order.len() {
         let level_end = ws.order.len();
-        direction = decide_direction(
-            bfs,
-            direction,
-            level_end - level_begin,
-            frontier_edges,
-            unexplored_edges,
-            n,
-        );
+        let direction = driver.next_direction(level_end - level_begin);
+        let depth = driver.depth();
         match direction {
             Direction::Push => {
                 for i in level_begin..level_end {
@@ -191,17 +187,8 @@ fn accumulate_source_kbc(
                 }
             }
             Direction::Pull => {
-                if unvisited_built {
-                    let dist = &ws.dist;
-                    ws.unvisited.retain(|&v| dist[v as usize] == u32::MAX);
-                } else {
-                    ws.unvisited = (0..n as VertexId)
-                        .filter(|&v| ws.dist[v as usize] == u32::MAX)
-                        .collect();
-                    unvisited_built = true;
-                }
-                for idx in 0..ws.unvisited.len() {
-                    let v = ws.unvisited[idx];
+                let dist = &ws.dist;
+                for &v in driver.unvisited(|v| dist[v as usize] == u32::MAX) {
                     for &u in graph.neighbors(v) {
                         if ws.dist[u as usize] == depth {
                             ws.dist[v as usize] = depth + 1;
@@ -212,10 +199,8 @@ fn accumulate_source_kbc(
                 }
             }
         }
-        frontier_edges = ws.order[level_end..].iter().map(|&v| graph.degree(v)).sum();
-        unexplored_edges = unexplored_edges.saturating_sub(frontier_edges);
+        driver.finish_level(ws.order[level_end..].iter().map(|&v| graph.degree(v)).sum());
         level_begin = level_end;
-        depth += 1;
         if level_begin < ws.order.len() {
             ws.level_start.push(level_begin);
         }
@@ -337,24 +322,10 @@ pub fn k_betweenness_centrality(
         });
     }
 
-    let chunk = (sources.len() / (rayon::current_num_threads() * 4).max(1)).max(1);
-    let mut scores = sources
-        .par_chunks(chunk)
-        .map(|chunk_sources| {
-            let mut ws = KWorkspace::new(n, config.k);
-            let mut local = vec![0.0f64; n];
-            for &s in chunk_sources {
-                accumulate_source_kbc(graph, s, config.k, &config.bfs, &mut ws, &mut local);
-            }
-            local
-        })
-        .reduce(
-            || vec![0.0f64; n],
-            |mut a, b| {
-                a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
-                a
-            },
-        );
+    let workspace = || KWorkspace::new(n, config.k);
+    let mut scores = sum_over_sources(&sources, n, workspace, |_, s, ws, local| {
+        accumulate_source_kbc(graph, s, config.k, &config.bfs, ws, local);
+    });
 
     if config.rescale && sources.len() < n {
         let scale = n as f64 / sources.len() as f64;

@@ -55,6 +55,7 @@ pub mod kcore;
 pub mod msbfs;
 pub mod query;
 pub mod telemetry;
+mod traverse;
 pub mod triangles;
 
 pub use betweenness::{
@@ -62,8 +63,8 @@ pub use betweenness::{
     SourceSelection,
 };
 pub use bfs::{
-    bfs_levels, decide_direction, parallel_bfs_levels, parallel_bfs_with, sequential_bfs_levels,
-    BfsConfig, Direction, FrontierKind, HybridBfs, LevelRecord, UNREACHED,
+    decide_direction, sequential_bfs_levels, BfsConfig, Direction, FrontierKind, HybridBfs,
+    LevelRecord, UNREACHED,
 };
 pub use clustering::{
     clustering_coefficients, clustering_summary, global_clustering, naive_triangle_counts,

@@ -17,8 +17,9 @@
 //! concurrency (see DESIGN.md § Batched traversal).
 //!
 //! Each wave expands every source's frontier one level, choosing push or
-//! pull with the same [`decide_direction`] heuristic as [`HybridBfs`]
-//! (aggregated over the batch) and reusing the engine's cached transpose
+//! pull through the same level driver as [`HybridBfs`] (its
+//! [`decide_direction`](crate::bfs::decide_direction) inputs aggregated
+//! over the batch) and reusing the engine's cached transpose
 //! for bottom-up waves.  Waves are recorded as [`WaveRecord`]s and, when
 //! a trace session is active, emitted as `msbfs_wave` events.
 //!
@@ -26,7 +27,8 @@
 //! [`sequential_bfs_levels`](crate::bfs::sequential_bfs_levels) — the
 //! equivalence suite asserts exactly that.
 
-use crate::bfs::{decide_direction, max_level, Direction, HybridBfs, UNREACHED};
+use crate::bfs::{max_level, Direction, HybridBfs, UNREACHED};
+use crate::traverse::LevelDriver;
 use graphct_core::{CsrGraph, GraphView, VertexId};
 use graphct_mt::{AtomicBitMatrix, AtomicU32Array};
 use rayon::prelude::*;
@@ -138,26 +140,17 @@ impl<'a, 'g, G: GraphView> MsBfs<'a, 'g, G> {
         queue.sort_unstable();
         queue.dedup();
 
-        let mut depth = 0u32;
-        let mut frontier_edges: usize = queue.iter().map(|&v| degrees[v as usize]).sum();
-        let mut unexplored_edges = graph.num_arcs().saturating_sub(frontier_edges);
-        let mut direction = Direction::Push;
+        let frontier_edges: usize = queue.iter().map(|&v| degrees[v as usize]).sum();
+        // Vertices still missing at least one lane are the pull candidates.
+        let mut unvisited = Vec::new();
+        let mut driver =
+            LevelDriver::new(config, n, graph.num_arcs(), frontier_edges, &mut unvisited);
         let mut waves = Vec::new();
-        // Vertices still missing at least one lane, maintained lazily
-        // for pull waves exactly like `HybridBfs`'s unvisited list.
-        let mut unvisited: Vec<VertexId> = Vec::new();
-        let mut unvisited_built = false;
 
         while !queue.is_empty() {
             let frontier_vertices = queue.len();
-            direction = decide_direction(
-                config,
-                direction,
-                frontier_vertices,
-                frontier_edges,
-                unexplored_edges,
-                n,
-            );
+            let direction = driver.next_direction(frontier_vertices);
+            let depth = driver.depth();
             let active = queue
                 .iter()
                 .fold(0u64, |acc, &v| acc | frontier.load(v as usize));
@@ -174,25 +167,18 @@ impl<'a, 'g, G: GraphView> MsBfs<'a, 'g, G> {
                         seen.fetch_or(v as usize, w);
                         store_levels(&levels, n, v, w, depth + 1);
                     });
-                    (nq, frontier_edges)
+                    (nq, driver.frontier_edges())
                 }
                 Direction::Pull => {
-                    if unvisited_built {
-                        unvisited.retain(|&v| seen.load(v as usize) != full);
-                    } else {
-                        unvisited = (0..n as VertexId)
-                            .filter(|&v| seen.load(v as usize) != full)
-                            .collect();
-                        unvisited_built = true;
-                    }
+                    let unvisited = driver.unvisited(|v| seen.load(v as usize) != full);
                     // Pull along in-edges: the cached transpose when the
                     // engine built one, the (symmetric) graph otherwise.
                     match transpose {
                         Some(t) => pull_wave(
-                            t, &unvisited, full, &frontier, &seen, &next, &levels, n, depth,
+                            t, unvisited, full, &frontier, &seen, &next, &levels, n, depth,
                         ),
                         None => pull_wave(
-                            graph, &unvisited, full, &frontier, &seen, &next, &levels, n, depth,
+                            graph, unvisited, full, &frontier, &seen, &next, &levels, n, depth,
                         ),
                     }
                 }
@@ -219,9 +205,7 @@ impl<'a, 'g, G: GraphView> MsBfs<'a, 'g, G> {
             }
             std::mem::swap(&mut frontier, &mut next);
             queue = next_queue;
-            frontier_edges = queue.iter().map(|&v| degrees[v as usize]).sum();
-            unexplored_edges = unexplored_edges.saturating_sub(frontier_edges);
-            depth += 1;
+            driver.finish_level(queue.iter().map(|&v| degrees[v as usize]).sum());
         }
 
         if graphct_trace::enabled() {

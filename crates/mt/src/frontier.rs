@@ -65,19 +65,6 @@ impl Frontier {
             Frontier::Dense { bits, .. } => bits.to_queue(),
         }
     }
-
-    /// The frontier as a bitmap over `len` bits (the sparse→dense
-    /// conversion of a push→pull direction switch).
-    pub fn into_dense(self, len: usize) -> AtomicBitmap {
-        match self {
-            Frontier::Sparse(v) => {
-                let bits = AtomicBitmap::new(len);
-                v.par_iter().for_each(|&u| bits.set(u as usize));
-                bits
-            }
-            Frontier::Dense { bits, .. } => bits,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,15 +92,6 @@ mod tests {
         let degrees = vec![2usize; 100];
         assert_eq!(f.edge_weight(&degrees), 6);
         assert_eq!(f.into_sparse(), vec![3, 64, 99]);
-    }
-
-    #[test]
-    fn sparse_converts_to_dense() {
-        let f = Frontier::sparse(vec![1, 63, 64]);
-        let bits = f.into_dense(70);
-        assert_eq!(bits.count_ones(), 3);
-        assert!(bits.get(1) && bits.get(63) && bits.get(64));
-        assert!(!bits.get(0));
     }
 
     #[test]

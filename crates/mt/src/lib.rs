@@ -17,16 +17,14 @@
 //! * [`AtomicBitMatrix`] — one atomic `u64` lane word per vertex, the
 //!   visited/frontier state of a 64-wide multi-source BFS batch.
 //! * [`Frontier`] — sparse/dense BFS frontier with degree-weighted size
-//!   tracking and queue↔bitmap repacking for direction-optimizing
+//!   tracking and bitmap→queue repacking for direction-optimizing
 //!   traversal.
-//! * [`FullEmptyCell`] — an emulation of the XMT's full/empty-bit
-//!   synchronized memory word.
 //! * [`prefix`] — parallel prefix sums used when packing frontiers and
 //!   building CSR offsets.
 //! * [`histogram`] — parallel counting/histogram reductions.
 //! * [`rng`] — deterministic splittable seeding so that parallel runs are
 //!   reproducible regardless of thread schedule.
-//! * [`reduce`] — small parallel reduction helpers (sum/max/argmax).
+//! * [`reduce`] — parallel mean/variance reduction.
 //!
 //! Everything here is independent of the graph data structures; the kernels
 //! crate composes these primitives with rayon parallel loops, mirroring how
@@ -36,7 +34,6 @@ pub mod atomic_array;
 pub mod bitmap;
 pub mod bitmat;
 pub mod frontier;
-pub mod full_empty;
 pub mod histogram;
 pub mod prefix;
 pub mod reduce;
@@ -46,7 +43,6 @@ pub use atomic_array::{AtomicF64Array, AtomicU32Array, AtomicUsizeArray};
 pub use bitmap::AtomicBitmap;
 pub use bitmat::AtomicBitMatrix;
 pub use frontier::Frontier;
-pub use full_empty::FullEmptyCell;
 
 /// Register the calling thread and every rayon worker with the
 /// continuous profiler's thread registry

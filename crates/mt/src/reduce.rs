@@ -1,45 +1,6 @@
-//! Small parallel reduction helpers over slices.
+//! Parallel reduction helpers over slices.
 
 use rayon::prelude::*;
-
-/// Parallel sum of an `f64` slice.
-pub fn par_sum_f64(values: &[f64]) -> f64 {
-    values.par_iter().sum()
-}
-
-/// Parallel maximum of an `f64` slice (`None` when empty). NaN values are
-/// ignored; an all-NaN slice yields `None`.
-pub fn par_max_f64(values: &[f64]) -> Option<f64> {
-    values
-        .par_iter()
-        .copied()
-        .filter(|v| !v.is_nan())
-        .reduce_with(f64::max)
-}
-
-/// Parallel maximum of a `usize` slice (`None` when empty).
-pub fn par_max_usize(values: &[usize]) -> Option<usize> {
-    values.par_iter().copied().max()
-}
-
-/// Index of the maximum `f64`, ties broken toward the smaller index.
-/// NaN entries never win. `None` when the slice is empty or all NaN.
-pub fn par_argmax_f64(values: &[f64]) -> Option<usize> {
-    values
-        .par_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_nan())
-        .reduce_with(|a, b| {
-            // Strict ordering with smaller-index tie-break keeps the result
-            // deterministic regardless of rayon's reduction tree shape.
-            if (b.1 > a.1) || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
-        })
-        .map(|(i, _)| i)
-}
 
 /// Mean and (population) variance in one pass, computed with per-chunk
 /// compensated accumulation.  Returns `(mean, variance)`; `(0, 0)` for an
@@ -63,36 +24,6 @@ pub fn par_mean_variance(values: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_and_max() {
-        let v = [1.0, -2.0, 3.5];
-        assert_eq!(par_sum_f64(&v), 2.5);
-        assert_eq!(par_max_f64(&v), Some(3.5));
-        assert_eq!(par_max_f64(&[]), None);
-        assert_eq!(par_max_usize(&[3, 9, 1]), Some(9));
-        assert_eq!(par_max_usize(&[]), None);
-    }
-
-    #[test]
-    fn max_ignores_nan() {
-        assert_eq!(par_max_f64(&[f64::NAN, 1.0, f64::NAN]), Some(1.0));
-        assert_eq!(par_max_f64(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn argmax_deterministic_ties() {
-        assert_eq!(par_argmax_f64(&[1.0, 3.0, 3.0, 2.0]), Some(1));
-        assert_eq!(par_argmax_f64(&[]), None);
-        assert_eq!(par_argmax_f64(&[f64::NAN, 2.0]), Some(1));
-    }
-
-    #[test]
-    fn argmax_large() {
-        let mut v = vec![0.0; 100_000];
-        v[77_777] = 9.0;
-        assert_eq!(par_argmax_f64(&v), Some(77_777));
-    }
 
     #[test]
     fn mean_variance_known_values() {

@@ -65,17 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn argmax_agrees_with_iterator(values in prop::collection::vec(-1e6f64..1e6, 0..200)) {
-        let par = reduce::par_argmax_f64(&values);
-        let seq = values
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i);
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
     fn atomic_f64_concurrent_adds_sum_correctly(deltas in prop::collection::vec(1u32..64, 1..200)) {
         // Integer-valued deltas keep float addition exact in any order.
         let arr = AtomicF64Array::zeros(1);

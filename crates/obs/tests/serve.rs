@@ -53,10 +53,28 @@ fn scrape_until(addr: SocketAddr, what: &str, done: impl Fn(&str) -> bool) -> St
     }
 }
 
-/// Scrape `/metrics` until the ingest loop has completed at least one
-/// batch (or time out).
+/// Wait until this server's own ingest loop has completed a batch, then
+/// return a `/metrics` scrape.  Readiness comes from `/progress`, which
+/// only this server's trace session feeds: the `/metrics` counters are
+/// process-global, so a concurrently running test's server can move them
+/// while this server's ingest thread still waits for the trace session.
 fn wait_for_first_batch(addr: SocketAddr) -> String {
-    scrape_until(addr, "no batch ingested", |body| {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, progress) = http_get(addr, "/progress");
+        let done = graphct_trace::json::parse(&progress)
+            .ok()
+            .and_then(|v| v.get("kernels")?.get("ingest")?.get("done")?.as_u64());
+        if done.unwrap_or(0) > 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no batch ingested within 30s:\n{progress}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    scrape_until(addr, "no batch counted", |body| {
         metric_value(body, "graphct_ingest_batches_total").unwrap_or(0.0) > 0.0
     })
 }
@@ -261,23 +279,29 @@ fn watchdog_stall_injection_degrades_healthz_and_recovers() {
         assert!(Instant::now() < deadline, "healthz never flipped to 503");
         std::thread::sleep(Duration::from_millis(25));
     };
+    // The reason carries this server's own stall age.  (The staleness
+    // gauge on /metrics is process-global, so a concurrently running
+    // test's server can overwrite it between our write and our scrape.)
+    let stall_age: f64 = stall_body
+        .strip_prefix("stalled: no ingest batch for ")
+        .and_then(|rest| rest.trim().strip_suffix('s'))
+        .and_then(|age| age.parse().ok())
+        .unwrap_or_else(|| panic!("503 body must carry the stall reason, got {stall_body:?}"));
     assert!(
-        stall_body.starts_with("stalled: no ingest batch for"),
-        "503 body must carry the stall reason, got {stall_body:?}"
+        stall_age > 0.25,
+        "stall age must exceed the 250ms deadline, got {stall_body:?}"
     );
 
-    // The scrape carries a growing staleness gauge and the stall counter.
+    // The scrape keeps answering and carries the watchdog series.
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200, "metrics must keep answering while stalled");
     validate_exposition(&metrics).unwrap_or_else(|(line, e)| panic!("line {line}: {e}\n{metrics}"));
-    assert!(
-        metric_value(&metrics, "graphct_staleness_seconds").unwrap() > 0.25,
-        "staleness must exceed the 250ms deadline:\n{metrics}"
-    );
-    assert!(
-        metric_value(&metrics, "graphct_stall_seconds_total").unwrap() > 0.0,
-        "stall counter must accumulate during a stall:\n{metrics}"
-    );
+    for series in ["graphct_staleness_seconds", "graphct_stall_seconds_total"] {
+        assert!(
+            metric_value(&metrics, series).is_some(),
+            "missing {series}:\n{metrics}"
+        );
+    }
 
     // /progress reports the degraded health string.
     let (_, progress) = http_get(addr, "/progress");

@@ -13,7 +13,7 @@
 //!   DIMACS/binary/edge-list I/O, vertex labels, and the locality engine
 //!   (vertex permutations + cache-friendly reordering passes).
 //! * [`mt`](graphct_mt) — the multithreaded substrate: atomic arrays
-//!   with fetch-and-add, bitmaps, full/empty cells, prefix sums.
+//!   with fetch-and-add, bitmaps, frontiers, prefix sums.
 //! * [`kernels`](graphct_kernels) — BFS, connected components,
 //!   betweenness centrality (exact / sampled), k-betweenness, k-cores,
 //!   clustering coefficients, degree statistics, diameter estimation.
@@ -69,11 +69,10 @@ pub mod prelude {
         MmapCsr, Permutation, ReorderKind, ReorderedView, SelfLoopPolicy, VertexId, VertexLabels,
     };
     pub use graphct_kernels::{
-        betweenness_centrality, bfs_levels, clustering_coefficients, connected_components,
-        core_numbers, degree_statistics, estimate_diameter, k_betweenness_centrality,
-        kcore_subgraph, parallel_bfs_levels, parallel_bfs_with, sequential_bfs_levels,
-        BetweennessConfig, BfsConfig, ComponentSummary, FrontierKind, HybridBfs,
-        KBetweennessConfig, SamplingSpec, SamplingStrategy, SourceSelection,
+        betweenness_centrality, clustering_coefficients, connected_components, core_numbers,
+        degree_statistics, estimate_diameter, k_betweenness_centrality, kcore_subgraph,
+        sequential_bfs_levels, BetweennessConfig, BfsConfig, ComponentSummary, FrontierKind,
+        HybridBfs, KBetweennessConfig, SamplingSpec, SamplingStrategy, SourceSelection,
     };
     pub use graphct_metrics::{fit_power_law, kendall_tau, top_k_indices, top_k_overlap};
     pub use graphct_script::Engine;

@@ -13,8 +13,6 @@ use graphct_gen::{classic, gnm, rmat_edges, RmatConfig};
 /// and degenerate switching.
 fn configs() -> Vec<BfsConfig> {
     vec![
-        BfsConfig::from_kind(FrontierKind::Queue),
-        BfsConfig::from_kind(FrontierKind::Bitmap),
         BfsConfig::push_only(),
         BfsConfig::pull_only(),
         BfsConfig::hybrid(),
@@ -139,6 +137,6 @@ fn isolated_vertices_and_empty_graph() {
             .num_vertices(1)
             .build(&EdgeList::new())
             .unwrap();
-        assert_eq!(parallel_bfs_with(&single, 0, &config), vec![0]);
+        assert_eq!(HybridBfs::with_config(&single, config).levels(0), vec![0]);
     }
 }

@@ -71,14 +71,9 @@ proptest! {
             .build(&EdgeList::from_pairs(edges))
             .unwrap();
         let seq = sequential_bfs_levels(&g, src);
-        for kind in [
-            FrontierKind::Queue,
-            FrontierKind::Bitmap,
-            FrontierKind::Push,
-            FrontierKind::Pull,
-            FrontierKind::Hybrid,
-        ] {
-            prop_assert_eq!(&parallel_bfs_levels(&g, src, kind), &seq, "kind {:?}", kind);
+        for kind in [FrontierKind::Push, FrontierKind::Pull, FrontierKind::Hybrid] {
+            let levels = HybridBfs::with_config(&g, BfsConfig::from_kind(kind)).levels(src);
+            prop_assert_eq!(&levels, &seq, "kind {:?}", kind);
         }
     }
 
@@ -98,7 +93,7 @@ proptest! {
         };
         let seq = sequential_bfs_levels(&g, src);
         let config = BfsConfig::hybrid().with_alpha(alpha).with_beta(beta);
-        prop_assert_eq!(&parallel_bfs_with(&g, src, &config), &seq);
+        prop_assert_eq!(&HybridBfs::with_config(&g, config).levels(src), &seq);
     }
 
     #[test]
