@@ -126,8 +126,9 @@ USAGE:
 
 The ingest loop freezes an epoch-tagged CSR snapshot every
 --snapshot-every batches (default 8; 0 = on demand only); queries answer
-from the latest freeze on --query-threads workers (default 2) and wrap
-every response in the versioned envelope
+from the latest freeze (--query-threads N: at most N queries run at
+once, default 2; connections are kept alive) and wrap every response in
+the versioned envelope
 {\"v\":1,\"epoch\":E,\"staleness_s\":S,\"data\":...|\"error\":...}.
 
   GET /metrics                        Prometheus exposition (live)

@@ -6,8 +6,9 @@
 //! operational plane you can watch while the analysis runs:
 //!
 //! * [`http`] — a std-only HTTP/1.1 server (no new dependencies; the
-//!   shims-only policy holds): a nonblocking accept thread feeding a
-//!   small worker pool, so slow queries never block health probes;
+//!   shims-only policy holds): a blocking accept thread and one
+//!   keep-alive thread per connection, with a gate bounding concurrent
+//!   handlers, so slow queries never block health probes;
 //! * [`router`] — method + path-pattern dispatch plus the versioned
 //!   JSON envelope (`{"v", "epoch", "staleness_s", "data" | "error"}`)
 //!   every `/v1/*` response is wrapped in;

@@ -21,7 +21,7 @@
 //! | `/v1/snapshot`         | current freeze metadata                       |
 //! | `/v1/snapshot/refresh` | ask ingest for a fresh freeze next batch      |
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use graphct_core::{VertexId, VertexLabels};
@@ -135,9 +135,14 @@ impl QueryPlane {
     }
 
     /// Component membership for `snap`, computed once per epoch and
-    /// shared by `/component` and `/degree` until the next freeze.
+    /// shared by `/component` and `/degree` until the next freeze.  A
+    /// recompute that panicked (and was answered `500`) leaves the lock
+    /// poisoned but the cache whole, so the next caller carries on.
     pub fn membership(&self, snap: &Snapshot) -> Arc<Membership> {
-        let mut guard = self.components.lock().expect("components cache poisoned");
+        let mut guard = self
+            .components
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some((epoch, m)) = guard.as_ref() {
             if *epoch == snap.epoch {
                 return Arc::clone(m);

@@ -3,7 +3,7 @@
 //!
 //! One background thread runs the ingest loop (and owns the trace
 //! [`Session`] — sessions must start and finish on the same thread);
-//! the HTTP worker pool answers `/metrics`, `/healthz`, `/progress`,
+//! the HTTP connection threads answer `/metrics`, `/healthz`, `/progress`,
 //! and the `/v1/*` query plane from shared [`Registry`] /
 //! [`ProgressTracker`] / [`SnapshotCell`] handles, dispatched through
 //! the [`Router`].  Every `--snapshot-every` batches (or on
@@ -73,7 +73,8 @@ pub struct ServeConfig {
     /// Freeze a query-plane snapshot every this many batches (`0`
     /// disables periodic freezes; `/v1/snapshot/refresh` still works).
     pub snapshot_every: u64,
-    /// HTTP worker threads answering queries off the accept thread.
+    /// Most route handlers (queries, scrapes, probes) run at once;
+    /// connections are not limited by it.
     pub query_threads: usize,
     /// Default `k` for `/v1/query/topk` when the client omits `k=`.
     pub topk: usize,
@@ -122,6 +123,8 @@ pub struct ServeHandle {
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     paused: Arc<AtomicBool>,
+    /// Set by the ingest loop while it holds between batches for a pause.
+    parked: Arc<AtomicBool>,
     snapshots: Arc<SnapshotCell>,
     ingest: Option<JoinHandle<IngestStats>>,
     heartbeat: Option<JoinHandle<()>>,
@@ -157,10 +160,16 @@ impl ServeHandle {
     }
 
     /// Freeze the ingest loop between batches (the watchdog keeps
-    /// running, so a long enough pause trips the stall deadline).  Also
-    /// reachable over HTTP as `GET /pause` for stall-injection tests.
+    /// running, so a long enough pause trips the stall deadline), and
+    /// return once it holds: no batch — and no snapshot freeze — lands
+    /// after this returns, even when the batch in flight was a slow one
+    /// (a corpus regeneration takes a few hundred milliseconds).  `GET
+    /// /pause` sets the same flag without waiting.
     pub fn pause(&self) {
-        self.paused.store(true, Ordering::Relaxed);
+        self.paused.store(true, Ordering::SeqCst);
+        while !self.parked.load(Ordering::SeqCst) && !self.ingest_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Resume a paused ingest loop (`GET /resume` over HTTP).
@@ -290,10 +299,12 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
         graphct_trace::profiler().start(config.profile_hz);
     }
 
+    let parked = Arc::new(AtomicBool::new(false));
     let ingest = {
         let shutdown = Arc::clone(&shutdown);
         let draining = Arc::clone(&draining);
         let paused = Arc::clone(&paused);
+        let parked = Arc::clone(&parked);
         let watchdog = Arc::clone(&watchdog);
         let snapshots = Arc::clone(&snapshots);
         let labels = Arc::clone(&labels);
@@ -301,7 +312,8 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
             .name("graphct-obs-ingest".into())
             .spawn(move || {
                 ingest_loop(
-                    config, progress, shutdown, draining, paused, watchdog, snapshots, labels,
+                    config, progress, shutdown, draining, paused, parked, watchdog, snapshots,
+                    labels,
                 )
             })?
     };
@@ -340,6 +352,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
         shutdown,
         draining,
         paused,
+        parked,
         snapshots,
         ingest: Some(ingest),
         heartbeat: Some(heartbeat),
@@ -446,6 +459,7 @@ fn ingest_loop(
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     paused: Arc<AtomicBool>,
+    parked: Arc<AtomicBool>,
     watchdog: Arc<Watchdog>,
     snapshots: Arc<SnapshotCell>,
     labels: Arc<RwLock<VertexLabels>>,
@@ -453,6 +467,7 @@ fn ingest_loop(
     let session = Session::start(sink as Arc<dyn Sink>);
     ingest_metrics::register_ingest_metrics();
     crate::query::register_query_metrics();
+    crate::http::register_http_metrics();
     SCRAPE_NS.touch();
 
     let mut graph = StreamingGraph::new(0);
@@ -472,8 +487,17 @@ fn ingest_loop(
         // Stall injection / operator freeze: hold between batches while
         // paused.  The watermark stops advancing, so the watchdog trips
         // once the pause outlives the deadline.
-        while paused.load(Ordering::Relaxed) && !shutdown.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(5));
+        loop {
+            while paused.load(Ordering::SeqCst) && !shutdown.load(Ordering::SeqCst) {
+                parked.store(true, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            parked.store(false, Ordering::SeqCst);
+            // A `ServeHandle::pause` that still saw `parked` has returned
+            // promising no further batch: re-check before running one.
+            if !paused.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) {
+                break;
+            }
         }
         if shutdown.load(Ordering::Relaxed) {
             break;

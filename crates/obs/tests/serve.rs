@@ -332,3 +332,36 @@ fn watchdog_stall_injection_degrades_healthz_and_recovers() {
     let stats = handle.wait();
     assert!(stats.batches > 0);
 }
+
+/// `ServeHandle::pause` returns only once the ingest loop holds between
+/// batches: no batch, and so no snapshot freeze, lands after it returns.
+/// Unpaced ingest with a freeze every batch is nearly always mid-batch,
+/// so a `pause` that only raised the flag would see the epoch move.
+#[test]
+fn pause_returns_once_ingest_holds() {
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        profile: DatasetProfile::atlflood().scaled(0.05),
+        batch_size: 32,
+        interval_ms: 0,
+        snapshot_every: 1,
+        stall_timeout_ms: 0,
+        profile_hz: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start serve");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.snapshot().epoch == 0 {
+        assert!(Instant::now() < deadline, "no snapshot within 30s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for _ in 0..20 {
+        handle.pause();
+        let held = handle.snapshot().epoch;
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(handle.snapshot().epoch, held, "a freeze landed after pause");
+        handle.resume();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(handle.wait().batches > 0);
+}

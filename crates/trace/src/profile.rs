@@ -251,10 +251,13 @@ fn register_thread_entry() -> Registration {
         #[cfg(target_os = "linux")]
         stat_file: Mutex::new(None),
     });
-    thread_registry()
+    let mut registry = thread_registry()
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(Arc::clone(&entry));
+        .unwrap_or_else(PoisonError::into_inner);
+    // Short-lived threads (one per HTTP connection) register too; prune
+    // the exited ones here so the list stays bounded with the sampler off.
+    registry.retain(|e| e.alive.load(Ordering::Acquire));
+    registry.push(Arc::clone(&entry));
     Registration { entry }
 }
 
