@@ -130,6 +130,8 @@ from the latest freeze (--query-threads N: at most N queries run at
 once, default 2; connections are kept alive) and wrap every response in
 the versioned envelope
 {\"v\":1,\"epoch\":E,\"staleness_s\":S,\"data\":...|\"error\":...}.
+Each freeze also sets the graphct_window_components gauge, so with
+--snapshot-every 0 it moves only when /v1/snapshot/refresh asks.
 
   GET /metrics                        Prometheus exposition (live)
   GET /healthz                        200 ok | 503 stalled/draining

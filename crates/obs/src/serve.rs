@@ -8,11 +8,12 @@
 //! [`ProgressTracker`] / [`SnapshotCell`] handles, dispatched through
 //! the [`Router`].  Every `--snapshot-every` batches (or on
 //! `/v1/snapshot/refresh` demand) the loop freezes the streaming graph
-//! into an epoch-tagged CSR snapshot for the query plane.  Shutdown is
-//! two-phase so health can be observed flipping: `begin_shutdown` marks
-//! the exporter as draining (healthz goes 503) and tells the ingest loop
-//! to stop; `wait` joins the loop — which finishes the session, flushing
-//! any `--trace-out` sink — then stops the HTTP server.
+//! into an epoch-tagged CSR snapshot for the query plane, published with
+//! its component membership.  Shutdown is two-phase so health can be
+//! observed flipping: `begin_shutdown` marks the exporter as draining
+//! (healthz goes 503) and tells the ingest loop to stop; `wait` joins the
+//! loop — which finishes the session, flushing any `--trace-out` sink —
+//! then stops the HTTP server.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -24,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use graphct_core::{VertexId, VertexLabels};
 use graphct_stream::telemetry as ingest_metrics;
-use graphct_stream::{IncrementalComponents, Snapshot, SnapshotCell, StreamingGraph};
+use graphct_stream::{Snapshot, SnapshotCell, StreamingGraph};
 use graphct_trace::{render_prometheus, Histogram, JsonLinesSink, Registry, Session, Sink};
 use graphct_twitter::parse::mentions;
 use graphct_twitter::{generate_stream, DatasetProfile};
@@ -437,21 +438,6 @@ fn mention_pairs(profile: &DatasetProfile, seed: u64) -> Vec<(String, String)> {
     pairs
 }
 
-/// Connected components among vertices that have at least one live edge.
-fn window_components(graph: &StreamingGraph) -> (u64, u64) {
-    let n = graph.num_vertices();
-    let active = (0..n as VertexId).filter(|&v| graph.degree(v) > 0).count();
-    let mut uf = IncrementalComponents::new(n);
-    let edges = graph.edge_list();
-    for &(u, v) in edges.as_slice() {
-        uf.union(u, v);
-    }
-    // num_components counts every interned vertex; subtract the isolated
-    // ones to get components among active vertices.
-    let comps = uf.num_components().saturating_sub(n - active);
-    (active as u64, comps as u64)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn ingest_loop(
     cfg: ServeConfig,
@@ -605,10 +591,8 @@ fn ingest_loop(
             0
         };
         ingest_metrics::INGEST_LAG_US.set(lag_us);
-        let (active_vertices, components) = window_components(&graph);
-        ingest_metrics::WINDOW_VERTICES.set(active_vertices);
+        ingest_metrics::WINDOW_VERTICES.set(graph.num_active_vertices() as u64);
         ingest_metrics::WINDOW_EDGES.set(graph.num_edges() as u64);
-        ingest_metrics::WINDOW_COMPONENTS.set(components);
 
         graphct_trace::event!(
             "ingest_batch",
@@ -624,15 +608,19 @@ fn ingest_loop(
         // Query-plane freeze: every --snapshot-every batches, or sooner
         // when a client asked via /v1/snapshot/refresh.  The freeze sits
         // at the batch boundary, so a snapshot always reflects whole
-        // batches (its watermark is exact).
+        // batches (its watermark is exact).  The window's component
+        // gauge is read off the membership the freeze publishes, so it
+        // holds as of the latest freeze.
         let periodic_due = cfg.snapshot_every > 0 && stats.batches % cfg.snapshot_every == 0;
         if periodic_due || snapshots.take_refresh_request() {
             let freeze_start = Instant::now();
             let frozen = graph.snapshot();
             let (vertices, edges) = (frozen.num_vertices(), frozen.num_edges());
             let epoch = snapshots.publish(frozen, stats.batches);
+            let components = snapshots.load().membership.active_components();
             ingest_metrics::SNAPSHOT_REFRESH_NS.record_duration(freeze_start.elapsed());
             ingest_metrics::SNAPSHOT_EPOCH.set(epoch);
+            ingest_metrics::WINDOW_COMPONENTS.set(components as u64);
             graphct_trace::event!(
                 "snapshot_freeze",
                 epoch = epoch,

@@ -101,21 +101,46 @@ impl IncrementalComponents {
     }
 
     /// A canonical labeling compatible with
-    /// [`graphct_kernels::connected_components`]: every vertex labeled
-    /// by the minimum vertex id in its component.
-    pub fn labels(&mut self) -> Vec<VertexId> {
+    /// [`graphct_kernels::connected_components`] — every vertex labeled
+    /// by the minimum vertex id in its component — plus each label's
+    /// population, in one sweep: vertices are visited in ascending id
+    /// order, so the first one met for a root is its minimum, and the
+    /// root's union-by-size count is the component's size.
+    pub fn labels(&mut self) -> Membership {
         let n = self.parent.len();
-        let mut min_of_root = vec![VertexId::MAX; n];
+        let mut label_of_root = vec![VertexId::MAX; n];
+        let mut colors = Vec::with_capacity(n);
+        let mut sizes = vec![0usize; n];
         for v in 0..n as VertexId {
             let r = self.find(v) as usize;
-            min_of_root[r] = min_of_root[r].min(v);
+            if label_of_root[r] == VertexId::MAX {
+                label_of_root[r] = v;
+                sizes[v as usize] = self.size[r] as usize;
+            }
+            colors.push(label_of_root[r]);
         }
-        (0..n as VertexId)
-            .map(|v| {
-                let r = self.find(v) as usize;
-                min_of_root[r]
-            })
-            .collect()
+        Membership { colors, sizes }
+    }
+}
+
+/// Component membership of one graph: canonical min-id labels (as
+/// [`graphct_kernels::connected_components`] assigns them) plus
+/// per-label sizes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Membership {
+    /// `colors[v]` is the component label of vertex `v`.
+    pub colors: Vec<VertexId>,
+    /// `sizes[c]` is the population of component label `c` (zero for
+    /// non-label ids).
+    pub sizes: Vec<usize>,
+}
+
+impl Membership {
+    /// Components with at least one edge.  In a simple graph a vertex
+    /// is isolated exactly when its component is a singleton, so these
+    /// are the labels of size ≥ 2.
+    pub fn active_components(&self) -> usize {
+        self.sizes.iter().filter(|&&s| s >= 2).count()
     }
 }
 
@@ -160,10 +185,11 @@ mod tests {
                 uf.union(u, v);
             }
         }
-        assert_eq!(uf.labels(), graphct_kernels::connected_components(&g));
+        let membership = uf.labels();
+        assert_eq!(membership.colors, graphct_kernels::connected_components(&g));
         // And the bulk constructor agrees.
         let mut uf2 = IncrementalComponents::from_csr(&g);
-        assert_eq!(uf2.labels(), uf.labels());
+        assert_eq!(uf2.labels(), membership);
         assert_eq!(
             uf.num_components(),
             graphct_kernels::components::ComponentSummary::compute(&g).num_components()
@@ -188,6 +214,6 @@ mod tests {
     fn empty_structure() {
         let mut uf = IncrementalComponents::new(0);
         assert_eq!(uf.num_components(), 0);
-        assert!(uf.labels().is_empty());
+        assert_eq!(uf.labels(), Membership::default());
     }
 }

@@ -1,6 +1,6 @@
 //! The dynamic undirected graph under batched updates.
 
-use graphct_core::{CsrGraph, EdgeList, GraphError, VertexId};
+use graphct_core::{CsrGraph, GraphError, VertexId};
 
 /// One edge update in a stream batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,8 @@ pub enum EdgeUpdate {
 pub struct StreamingGraph {
     adjacency: Vec<Vec<VertexId>>,
     num_edges: usize,
+    /// Vertices of degree ≥ 1, kept as degrees cross 0 ↔ 1.
+    num_active: usize,
 }
 
 impl StreamingGraph {
@@ -30,6 +32,7 @@ impl StreamingGraph {
         Self {
             adjacency: vec![Vec::new(); n],
             num_edges: 0,
+            num_active: 0,
         }
     }
 
@@ -56,9 +59,11 @@ impl StreamingGraph {
         let adjacency: Vec<Vec<VertexId>> = (0..n as VertexId)
             .map(|v| graph.neighbors(v).to_vec())
             .collect();
+        let num_active = adjacency.iter().filter(|nb| !nb.is_empty()).count();
         Ok(Self {
             adjacency,
             num_edges: graph.num_edges(),
+            num_active,
         })
     }
 
@@ -70,6 +75,11 @@ impl StreamingGraph {
     /// Number of undirected edges.
     pub fn num_edges(&self) -> usize {
         self.num_edges
+    }
+
+    /// Number of vertices with at least one edge.
+    pub fn num_active_vertices(&self) -> usize {
+        self.num_active
     }
 
     /// Degree of `v`.
@@ -126,6 +136,8 @@ impl StreamingGraph {
                     .expect_err("adjacency must be consistent");
                 self.adjacency[v as usize].insert(pos_v, u);
                 self.num_edges += 1;
+                self.num_active += usize::from(self.adjacency[u as usize].len() == 1)
+                    + usize::from(self.adjacency[v as usize].len() == 1);
                 Ok(true)
             }
         }
@@ -143,6 +155,8 @@ impl StreamingGraph {
                     .expect("adjacency must be consistent");
                 self.adjacency[v as usize].remove(pos_v);
                 self.num_edges -= 1;
+                self.num_active -= usize::from(self.adjacency[u as usize].is_empty())
+                    + usize::from(self.adjacency[v as usize].is_empty());
                 Ok(true)
             }
         }
@@ -168,25 +182,13 @@ impl StreamingGraph {
         }
         CsrGraph::from_simple_sorted_parts(offsets, targets, false)
     }
-
-    /// Snapshot as an edge list (`u < v` canonical orientation).
-    pub fn edge_list(&self) -> EdgeList {
-        let mut edges = EdgeList::with_capacity(self.num_edges);
-        for (u, nb) in self.adjacency.iter().enumerate() {
-            for &v in nb {
-                if (u as VertexId) < v {
-                    edges.push(u as VertexId, v);
-                }
-            }
-        }
-        edges
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphct_core::builder::build_undirected_simple;
+    use graphct_core::EdgeList;
 
     #[test]
     fn insert_delete_roundtrip() {
@@ -195,12 +197,14 @@ mod tests {
         assert!(g.insert_edge(1, 2).unwrap());
         assert!(!g.insert_edge(0, 1).unwrap(), "duplicate ignored");
         assert!(!g.insert_edge(1, 0).unwrap(), "reverse duplicate ignored");
-        assert_eq!(g.num_edges(), 2);
+        assert_eq!((g.num_edges(), g.num_active_vertices()), (2, 3));
         assert!(g.has_edge(0, 1) && g.has_edge(1, 0));
         assert!(g.delete_edge(0, 1).unwrap());
         assert!(!g.delete_edge(0, 1).unwrap());
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!((g.num_edges(), g.num_active_vertices()), (1, 2));
         assert!(!g.has_edge(0, 1));
+        g.delete_edge(2, 1).unwrap();
+        assert_eq!(g.num_active_vertices(), 0);
     }
 
     #[test]
@@ -232,14 +236,15 @@ mod tests {
         let snap = g.snapshot();
         let built = build_undirected_simple(&EdgeList::from_pairs(pairs)).unwrap();
         assert_eq!(snap, built);
-        assert_eq!(g.edge_list().len(), 5);
     }
 
     #[test]
     fn from_csr_and_back() {
         let built = build_undirected_simple(&EdgeList::from_pairs(vec![(0, 1), (1, 2)])).unwrap();
-        let g = StreamingGraph::from_csr(&built).unwrap();
+        let mut g = StreamingGraph::from_csr(&built).unwrap();
         assert_eq!(g.snapshot(), built);
+        g.ensure_vertices(4);
+        assert_eq!(g.num_active_vertices(), 3);
         let directed =
             graphct_core::builder::build_directed_simple(&EdgeList::from_pairs(vec![(0, 1)]))
                 .unwrap();

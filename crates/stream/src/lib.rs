@@ -15,7 +15,10 @@
 //!   O(deg(u) + deg(v)) per edge instead of a full recount;
 //! * [`IncrementalComponents`] — connected components under insertions
 //!   via union-find (deletions trigger a recompute, the standard
-//!   trade-off of the streaming literature of that era).
+//!   trade-off of the streaming literature of that era), labelling each
+//!   freeze's [`Membership`];
+//! * [`SnapshotCell`] — epoch-tagged [`Snapshot`] freezes for the live
+//!   query plane, each published with its membership.
 //!
 //! Everything is verified against from-scratch recomputation by the
 //! static kernels in `graphct-kernels`.
@@ -27,6 +30,6 @@ pub mod snapshot;
 pub mod telemetry;
 
 pub use clustering::IncrementalClustering;
-pub use components::IncrementalComponents;
+pub use components::{IncrementalComponents, Membership};
 pub use graph::{EdgeUpdate, StreamingGraph};
 pub use snapshot::{Snapshot, SnapshotCell};

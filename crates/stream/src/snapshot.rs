@@ -13,15 +13,19 @@
 //! running query never blocks ingest.
 //!
 //! Every snapshot carries an **epoch** (monotone freeze counter), the
-//! ingest **watermark** (the 1-based batch index it froze after), and
-//! its freeze instant, from which readers derive the staleness they
-//! report next to every answer.
+//! ingest **watermark** (the 1-based batch index it froze after), its
+//! component **membership**, and its freeze instant, from which readers
+//! derive the staleness they report next to every answer.  Membership
+//! is computed once per freeze, by the publisher and outside the cell's
+//! lock, so component and reach queries only read it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use graphct_core::CsrGraph;
+
+use crate::components::{IncrementalComponents, Membership};
 
 /// One immutable point-in-time freeze of the streaming graph.
 #[derive(Debug, Clone)]
@@ -34,17 +38,21 @@ pub struct Snapshot {
     /// The frozen graph.  Shared, so handing a query worker the graph
     /// is one refcount bump, not a copy.
     pub graph: Arc<CsrGraph>,
+    /// Connected components of `graph`: canonical min-id labels and
+    /// per-label sizes.
+    pub membership: Membership,
     frozen_at: Instant,
 }
 
 impl Snapshot {
-    /// Freeze `graph` as epoch `epoch` at watermark `watermark_batch`,
-    /// stamped now.
-    pub fn new(epoch: u64, watermark_batch: u64, graph: CsrGraph) -> Self {
+    /// Freeze `graph` with its `membership` as epoch `epoch` at
+    /// watermark `watermark_batch`, stamped now.
+    fn new(epoch: u64, watermark_batch: u64, graph: CsrGraph, membership: Membership) -> Self {
         Self {
             epoch,
             watermark_batch,
             graph: Arc::new(graph),
+            membership,
             frozen_at: Instant::now(),
         }
     }
@@ -80,8 +88,9 @@ impl SnapshotCell {
     /// arrive before the first freeze get a well-formed (empty) answer
     /// instead of an error.
     pub fn new() -> Self {
+        let empty = Snapshot::new(0, 0, CsrGraph::empty(0, false), Membership::default());
         Self {
-            current: Mutex::new(Arc::new(Snapshot::new(0, 0, CsrGraph::empty(0, false)))),
+            current: Mutex::new(Arc::new(empty)),
             epoch: AtomicU64::new(0),
             refresh_requested: AtomicBool::new(false),
         }
@@ -93,11 +102,14 @@ impl SnapshotCell {
     }
 
     /// Publish a fresh freeze and return its assigned epoch.  The
+    /// freeze's membership (one union-find over the CSR) is computed
+    /// before the lock is taken, so readers never wait on it.  The
     /// replaced snapshot stays alive until its last reader drops it.
     pub fn publish(&self, graph: CsrGraph, watermark_batch: u64) -> u64 {
+        let membership = IncrementalComponents::from_csr(&graph).labels();
         let mut slot = self.current.lock().expect("snapshot cell poisoned");
         let epoch = slot.epoch + 1;
-        *slot = Arc::new(Snapshot::new(epoch, watermark_batch, graph));
+        *slot = Arc::new(Snapshot::new(epoch, watermark_batch, graph, membership));
         self.epoch.store(epoch, Ordering::Release);
         epoch
     }
@@ -136,6 +148,7 @@ mod tests {
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.watermark_batch, 0);
         assert_eq!(snap.graph.num_vertices(), 0);
+        assert_eq!(snap.membership, Membership::default());
         assert_eq!(cell.epoch(), 0);
     }
 
@@ -156,6 +169,8 @@ mod tests {
         let now = cell.load();
         assert_eq!((now.epoch, now.watermark_batch), (2, 9));
         assert_eq!(now.graph.num_edges(), 2);
+        assert_eq!(now.membership.colors, vec![0, 0, 0]);
+        assert_eq!(held.membership.colors, Vec::<u32>::new());
         assert_eq!(cell.epoch(), 2);
     }
 
@@ -171,7 +186,7 @@ mod tests {
 
     #[test]
     fn staleness_grows() {
-        let snap = Snapshot::new(1, 1, CsrGraph::empty(2, false));
+        let snap = Snapshot::new(1, 1, CsrGraph::empty(0, false), Membership::default());
         let a = snap.staleness();
         std::thread::sleep(Duration::from_millis(5));
         assert!(snap.staleness() > a);

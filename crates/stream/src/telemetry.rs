@@ -82,17 +82,19 @@ pub static WINDOW_VERTICES: Gauge = Gauge::new(
 /// Live edges in the sliding window.
 pub static WINDOW_EDGES: Gauge = Gauge::new("window_edges", "Edges live in the sliding window");
 
-/// Connected components among window-active vertices.
+/// Connected components among window-active vertices, as of the latest
+/// snapshot freeze (read off its published membership).
 pub static WINDOW_COMPONENTS: Gauge = Gauge::new(
     "window_components",
-    "Connected components among window-active vertices",
+    "Connected components among window-active vertices, as of the latest snapshot freeze",
 );
 
 /// Wall-clock nanoseconds spent freezing the streaming graph into a CSR
-/// snapshot and publishing it to the query plane.
+/// snapshot, labelling its components and publishing it to the query
+/// plane.
 pub static SNAPSHOT_REFRESH_NS: Histogram = Histogram::new(
     "snapshot_refresh_ns",
-    "Nanoseconds per snapshot freeze (StreamingGraph -> CsrGraph + publish)",
+    "Nanoseconds per snapshot freeze (StreamingGraph -> CsrGraph + membership + publish)",
 );
 
 /// Epoch of the most recently published query-plane snapshot.

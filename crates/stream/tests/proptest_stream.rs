@@ -1,7 +1,9 @@
 //! Property tests: the streaming structures must agree with from-scratch
 //! static computation after any sequence of updates.
 
-use graphct_stream::{EdgeUpdate, IncrementalClustering, IncrementalComponents, StreamingGraph};
+use graphct_stream::{
+    EdgeUpdate, IncrementalClustering, IncrementalComponents, SnapshotCell, StreamingGraph,
+};
 use proptest::prelude::*;
 
 /// A random update sequence over `n` vertices: mostly inserts, some
@@ -74,6 +76,54 @@ proptest! {
             }
         }
         let snapshot = g.snapshot();
-        prop_assert_eq!(uf.labels(), graphct_kernels::connected_components(&snapshot));
+        prop_assert_eq!(uf.labels().colors, graphct_kernels::connected_components(&snapshot));
+    }
+
+    // Every published snapshot carries the membership of its own graph:
+    // labels bit-identical to the static kernel, sizes equal to the
+    // label populations, and the window gauges equal to a from-scratch
+    // count over the live edges: the graph's own active-vertex count,
+    // and the membership's active components against a union-find.  About one case in eight has `n = 0`;
+    // updates that fall outside `0..n` are dropped, so small `n` leave
+    // isolated vertices and empty graphs.
+    #[test]
+    fn published_membership_equals_static_components(
+        n in (0usize..=45).prop_map(|n| n.saturating_sub(5)),
+        updates in update_seq(40, 300),
+    ) {
+        let mut g = StreamingGraph::new(n);
+        for &u in &updates {
+            match u {
+                EdgeUpdate::Insert(a, b) if (a.max(b) as usize) < n => {
+                    g.insert_edge(a, b).unwrap();
+                }
+                EdgeUpdate::Delete(a, b) if (a.max(b) as usize) < n => {
+                    g.delete_edge(a, b).unwrap();
+                }
+                _ => {}
+            }
+        }
+        let cell = SnapshotCell::new();
+        cell.publish(g.snapshot(), 1);
+        let snap = cell.load();
+        let membership = &snap.membership;
+        let colors = graphct_kernels::connected_components(&*snap.graph);
+        prop_assert_eq!(&membership.colors, &colors);
+        let mut sizes = vec![0usize; n];
+        for &c in &colors {
+            sizes[c as usize] += 1;
+        }
+        prop_assert_eq!(&membership.sizes, &sizes);
+
+        let active = (0..n as u32).filter(|&v| g.degree(v) > 0).count();
+        let mut uf = IncrementalComponents::new(n);
+        for u in 0..n as u32 {
+            for &v in g.neighbors(u) {
+                uf.union(u, v);
+            }
+        }
+        let components = uf.num_components() - (n - active);
+        prop_assert_eq!(g.num_active_vertices(), active);
+        prop_assert_eq!(membership.active_components(), components);
     }
 }
