@@ -377,6 +377,37 @@ impl CsrGraph {
         out
     }
 
+    /// The simple undirected graph underlying this one: `{u, v}` is an
+    /// edge wherever `u → v` or `v → u` is an arc and `u != v`.
+    ///
+    /// Each vertex's list is the merge of its out-list with its in-list
+    /// (from [`CsrGraph::transpose`]), duplicates and self-loops
+    /// dropped, so the result equals the undirected simple-policy
+    /// [`GraphBuilder`](crate::GraphBuilder) build of the same arcs
+    /// without a second sort of the edge list, and carries the
+    /// sorted-simple witness.  Requires sorted adjacency, which the
+    /// builder guarantees.
+    pub fn symmetrize(&self) -> CsrGraph {
+        debug_assert!(self.is_sorted(), "symmetrize needs sorted adjacency");
+        let n = self.num_vertices();
+        let reversed = self.transpose();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * self.num_arcs());
+        offsets.push(0);
+        for u in 0..n as VertexId {
+            merge_neighbors(self.neighbors(u), reversed.neighbors(u), u, &mut targets);
+            offsets.push(targets.len());
+        }
+        let out = CsrGraph {
+            offsets,
+            targets,
+            directed: false,
+            simple: SimpleWitness::unknown(),
+        };
+        out.mark_sorted_simple();
+        out
+    }
+
     /// Sort every adjacency list ascending (parallel over vertices).
     pub(crate) fn sort_adjacency(&mut self) {
         let offsets = &self.offsets;
@@ -454,6 +485,35 @@ pub(crate) fn transpose_of<G: crate::view::GraphView + ?Sized>(graph: &G) -> Csr
     };
     out.sort_adjacency();
     out
+}
+
+/// Append the union of the sorted lists `a` and `b` to `out`, strictly
+/// ascending and without `skip`.
+fn merge_neighbors(a: &[VertexId], b: &[VertexId], skip: VertexId, out: &mut Vec<VertexId>) {
+    let (mut i, mut j) = (0, 0);
+    let mut last = None;
+    loop {
+        let v = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x <= y => {
+                i += 1;
+                j += usize::from(x == y);
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, None) => return,
+        };
+        if v != skip && last != Some(v) {
+            out.push(v);
+            last = Some(v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +651,59 @@ mod tests {
         // An unwitnessed source stays unwitnessed through transpose.
         let raw = CsrGraph::from_raw_parts(vec![0, 1, 2], vec![1, 0], false).unwrap();
         assert_eq!(raw.transpose().sorted_simple_hint(), None);
+    }
+
+    #[test]
+    fn symmetrize_merges_both_directions() {
+        // 0→1, 1→0, 0→2, 2→3 plus a self-loop at 3 and isolated 4.
+        let g =
+            CsrGraph::from_raw_parts(vec![0, 2, 3, 4, 5, 5], vec![1, 2, 0, 3, 3], true).unwrap();
+        let u = g.symmetrize();
+        assert!(!u.is_directed());
+        assert_eq!(u.offsets(), &[0, 2, 3, 5, 6, 6]);
+        assert_eq!(u.targets(), &[1, 2, 0, 0, 3, 2]);
+        assert_eq!(u.sorted_simple_hint(), Some(true));
+        assert!(u.is_symmetric());
+        assert_eq!(
+            CsrGraph::empty(0, true).symmetrize(),
+            CsrGraph::empty(0, false)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn symmetrize_equals_the_undirected_build(
+            n in 0usize..40,
+            raw in proptest::collection::vec(
+                (proptest::any::<u32>(), proptest::any::<u32>(), proptest::any::<bool>()),
+                0..120,
+            ),
+        ) {
+            use crate::{EdgeList, GraphBuilder};
+            let mut arcs = EdgeList::new();
+            if n > 0 {
+                for (s, t, mutual) in raw {
+                    let (s, t) = (s % n as u32, t % n as u32);
+                    arcs.push(s, t);
+                    if mutual {
+                        arcs.push(t, s);
+                    }
+                }
+            }
+            let directed = GraphBuilder::directed().num_vertices(n).build(&arcs).unwrap();
+            let expected = GraphBuilder::undirected()
+                .num_vertices(n)
+                .build(&EdgeList::from_pairs(directed.iter_arcs().collect()))
+                .unwrap();
+            let got = directed.symmetrize();
+            proptest::prop_assert_eq!(got.offsets(), expected.offsets());
+            proptest::prop_assert_eq!(got.targets(), expected.targets());
+            proptest::prop_assert_eq!(got.is_directed(), expected.is_directed());
+            proptest::prop_assert_eq!(got.sorted_simple_hint(), expected.sorted_simple_hint());
+            proptest::prop_assert_eq!(got.sorted_simple_hint(), Some(true));
+        }
     }
 
     #[test]

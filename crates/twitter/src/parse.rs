@@ -3,16 +3,23 @@
 //! `@foo` addresses user *foo*; `#tag` marks a topic; a leading
 //! `RT @foo:` marks a re-broadcast.  Handles follow Twitter's rules:
 //! ASCII letters, digits, and underscore, 1–15 characters.
+//!
+//! The scanner works on bytes, not `char`s: the sigils and every token
+//! character are ASCII, and no byte of a multi-byte UTF-8 character is
+//! ASCII, so a byte test gives the same answer as a character test and
+//! every token boundary is a character boundary.  [`iter_mentions`]
+//! borrows each handle from the text and allocates nothing; the tweet
+//! ingest runs on it.
 
 /// Maximum Twitter handle length.
 const MAX_HANDLE: usize = 15;
 
-fn is_handle_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
+/// Maximum hashtag length.
+const MAX_HASHTAG: usize = 100;
 
-fn is_hashtag_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
+/// A handle or hashtag character; also what may not precede a sigil.
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Extract the screen names mentioned in `text` (without `@`), in order
@@ -28,44 +35,75 @@ fn is_hashtag_char(c: char) -> bool {
 /// assert!(mentions("no handles here").is_empty());
 /// ```
 pub fn mentions(text: &str) -> Vec<&str> {
-    sigil_tokens(text, '@', is_handle_char, MAX_HANDLE)
+    iter_mentions(text).collect()
 }
 
 /// Extract hashtags (without `#`), in order of appearance.
 pub fn hashtags(text: &str) -> Vec<&str> {
-    sigil_tokens(text, '#', is_hashtag_char, 100)
+    Tokens::new(text, b'#', MAX_HASHTAG).collect()
 }
 
-fn sigil_tokens(text: &str, sigil: char, valid: fn(char) -> bool, max_len: usize) -> Vec<&str> {
-    let mut out = Vec::new();
-    let bytes = text.char_indices().collect::<Vec<_>>();
-    let mut i = 0;
-    while i < bytes.len() {
-        let (pos, c) = bytes[i];
-        if c == sigil {
+/// The mentions of [`mentions`], borrowed one at a time without
+/// allocating.
+///
+/// ```
+/// use graphct_twitter::parse::iter_mentions;
+///
+/// let mut it = iter_mentions("@a hi @b");
+/// assert_eq!(it.next(), Some("a"));
+/// assert_eq!(it.next(), Some("b"));
+/// assert_eq!(it.next(), None);
+/// ```
+pub fn iter_mentions(text: &str) -> impl Iterator<Item = &str> {
+    Tokens::new(text, b'@', MAX_HANDLE)
+}
+
+/// Iterator over the sigil tokens of one text.
+struct Tokens<'a> {
+    text: &'a str,
+    pos: usize,
+    sigil: u8,
+    max_len: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(text: &'a str, sigil: u8, max_len: usize) -> Self {
+        Self {
+            text,
+            pos: 0,
+            sigil,
+            max_len,
+        }
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        while let Some(skip) = bytes[self.pos..].iter().position(|&b| b == self.sigil) {
+            let at = self.pos + skip;
+            let start = at + 1;
+            self.pos = start;
             // A sigil must not be glued to a preceding word character
             // (local@host is not a mention).
-            let preceded_by_word = i > 0 && is_handle_char(bytes[i - 1].1);
-            if !preceded_by_word {
-                let start = pos + c.len_utf8();
-                let mut end = start;
-                let mut count = 0;
-                let mut j = i + 1;
-                while j < bytes.len() && count < max_len && valid(bytes[j].1) {
-                    end = bytes[j].0 + bytes[j].1.len_utf8();
-                    count += 1;
-                    j += 1;
-                }
-                if count > 0 {
-                    out.push(&text[start..end]);
-                    i = j;
-                    continue;
-                }
+            if at > 0 && is_word_byte(bytes[at - 1]) {
+                continue;
+            }
+            let len = bytes[start..]
+                .iter()
+                .take(self.max_len)
+                .take_while(|&&b| is_word_byte(b))
+                .count();
+            if len > 0 {
+                self.pos = start + len;
+                return Some(&self.text[start..self.pos]);
             }
         }
-        i += 1;
+        self.pos = bytes.len();
+        None
     }
-    out
 }
 
 /// `Some(original_author)` when the text is a classic retweet
@@ -77,7 +115,7 @@ pub fn retweet_source(text: &str) -> Option<&str> {
         .or_else(|| trimmed.strip_prefix("rt "))?;
     let rest = rest.trim_start();
     if rest.starts_with('@') {
-        mentions(rest).into_iter().next()
+        iter_mentions(rest).next()
     } else {
         None
     }
@@ -86,6 +124,7 @@ pub fn retweet_source(text: &str) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn extracts_mentions_in_order() {
@@ -152,5 +191,91 @@ mod tests {
     fn unicode_text_safe() {
         assert_eq!(mentions("café @foo ☂ #rain"), vec!["foo"]);
         assert_eq!(hashtags("café @foo ☂ #rain"), vec!["rain"]);
+        // A multi-byte character before a sigil is not a word character.
+        assert_eq!(mentions("é@foo 中#x"), vec!["foo"]);
+        assert_eq!(hashtags("é@foo 中#x"), vec!["x"]);
+    }
+
+    /// The character-based scanner the byte scanner replaced, kept as
+    /// its oracle.
+    fn char_tokens(text: &str, sigil: char, max_len: usize) -> Vec<&str> {
+        let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let mut out = Vec::new();
+        let chars = text.char_indices().collect::<Vec<_>>();
+        let mut i = 0;
+        while i < chars.len() {
+            let (pos, c) = chars[i];
+            if c == sigil && !(i > 0 && word(chars[i - 1].1)) {
+                let start = pos + c.len_utf8();
+                let mut end = start;
+                let mut count = 0;
+                let mut j = i + 1;
+                while j < chars.len() && count < max_len && word(chars[j].1) {
+                    end = chars[j].0 + chars[j].1.len_utf8();
+                    count += 1;
+                    j += 1;
+                }
+                if count > 0 {
+                    out.push(&text[start..end]);
+                    i = j;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        out
+    }
+
+    /// Text pieces that stress the scanner: sigils, runs at and past the
+    /// handle cap, glued sigils, and multi-byte characters on either
+    /// side of a sigil.
+    const PIECES: &[&str] = &[
+        "@",
+        "#",
+        "@@",
+        "##",
+        "a",
+        "Z",
+        "9",
+        "_",
+        " ",
+        ".",
+        "a@b",
+        "x#y",
+        "é",
+        "中",
+        "🌊",
+        "abcdefghijklmno",
+        "abcdefghijklmnopq",
+        "@é",
+        "é@",
+        "#中",
+        "\u{0}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn byte_scanner_matches_char_scanner(
+            parts in prop::collection::vec((0usize..PIECES.len() + 4, any::<u32>()), 0..40),
+        ) {
+            // Selectors past the piece table draw an arbitrary scalar value.
+            let text: String = parts
+                .iter()
+                .map(|&(i, c)| match PIECES.get(i) {
+                    Some(p) => p.to_string(),
+                    None => char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}').to_string(),
+                })
+                .collect();
+            prop_assert_eq!(mentions(&text), char_tokens(&text, '@', MAX_HANDLE));
+            prop_assert_eq!(hashtags(&text), char_tokens(&text, '#', MAX_HASHTAG));
+        }
+
+        #[test]
+        fn byte_scanner_matches_on_printable_text(text in "\\PC{0,120}") {
+            prop_assert_eq!(mentions(&text), char_tokens(&text, '@', MAX_HANDLE));
+            prop_assert_eq!(hashtags(&text), char_tokens(&text, '#', MAX_HASHTAG));
+        }
     }
 }
