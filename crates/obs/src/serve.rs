@@ -9,11 +9,13 @@
 //! the [`Router`].  Every `--snapshot-every` batches (or on
 //! `/v1/snapshot/refresh` demand) the loop freezes the streaming graph
 //! into an epoch-tagged CSR snapshot for the query plane, published with
-//! its component membership.  Shutdown is two-phase so health can be
-//! observed flipping: `begin_shutdown` marks the exporter as draining
-//! (healthz goes 503) and tells the ingest loop to stop; `wait` joins the
-//! loop — which finishes the session, flushing any `--trace-out` sink —
-//! then stops the HTTP server.
+//! its component membership.  A third thread, the query plane's
+//! analytics lane, ranks default top-k for each published snapshot
+//! while clients ask for it (see [`crate::query`]).  Shutdown is
+//! two-phase so health can be observed flipping: `begin_shutdown` marks
+//! the exporter as draining (healthz goes 503) and tells the ingest loop
+//! to stop; `wait` joins the loop — which finishes the session, flushing
+//! any `--trace-out` sink — then stops the HTTP server and the lane.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -127,8 +129,10 @@ pub struct ServeHandle {
     /// Set by the ingest loop while it holds between batches for a pause.
     parked: Arc<AtomicBool>,
     snapshots: Arc<SnapshotCell>,
+    plane: Arc<QueryPlane>,
     ingest: Option<JoinHandle<IngestStats>>,
     heartbeat: Option<JoinHandle<()>>,
+    analytics: Option<JoinHandle<()>>,
     /// Did this serve instance issue a profiler start (to be undone on
     /// `wait`)?
     profiling: bool,
@@ -164,13 +168,16 @@ impl ServeHandle {
     /// running, so a long enough pause trips the stall deadline), and
     /// return once it holds: no batch — and no snapshot freeze — lands
     /// after this returns, even when the batch in flight was a slow one
-    /// (a corpus regeneration takes a few hundred milliseconds).  `GET
+    /// (a corpus regeneration takes a few hundred milliseconds).  It also
+    /// waits for the analytics lane to rank what it was handed, so a
+    /// default top-k request then answers the frozen epoch.  `GET
     /// /pause` sets the same flag without waiting.
     pub fn pause(&self) {
         self.paused.store(true, Ordering::SeqCst);
         while !self.parked.load(Ordering::SeqCst) && !self.ingest_finished() {
             std::thread::sleep(Duration::from_millis(1));
         }
+        self.plane.settle_lane();
     }
 
     /// Resume a paused ingest loop (`GET /resume` over HTTP).
@@ -179,7 +186,8 @@ impl ServeHandle {
     }
 
     /// Phase two: join the ingest loop (drains the session and any
-    /// `--trace-out` sink), then stop the HTTP server.
+    /// `--trace-out` sink), then stop the HTTP server and the analytics
+    /// lane (after its current ranking, dropping queued work).
     pub fn wait(mut self) -> IngestStats {
         self.begin_shutdown();
         // A paused loop would never observe the shutdown flag's batch
@@ -194,6 +202,10 @@ impl ServeHandle {
             let _ = h.join();
         }
         self.http.stop();
+        self.plane.stop_lane();
+        if let Some(h) = self.analytics.take() {
+            let _ = h.join();
+        }
         if self.profiling {
             self.profiling = false;
             graphct_trace::profiler().stop();
@@ -292,6 +304,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
     let handler: Arc<crate::http::Handler> =
         Arc::new(move |method: &str, path: &str, query: &str| router.dispatch(method, path, query));
     let http = HttpServer::bind_pooled(&config.addr, handler, config.query_threads.max(1))?;
+    let analytics = query_plane.spawn_lane()?;
 
     // Start (or join) the continuous profiler so `/profile` has live
     // folded stacks from the first scrape; undone in `wait`.
@@ -308,13 +321,14 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
         let parked = Arc::clone(&parked);
         let watchdog = Arc::clone(&watchdog);
         let snapshots = Arc::clone(&snapshots);
+        let plane = Arc::clone(&query_plane);
         let labels = Arc::clone(&labels);
         std::thread::Builder::new()
             .name("graphct-obs-ingest".into())
             .spawn(move || {
                 ingest_loop(
                     config, progress, shutdown, draining, paused, parked, watchdog, snapshots,
-                    labels,
+                    plane, labels,
                 )
             })?
     };
@@ -355,8 +369,10 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
         paused,
         parked,
         snapshots,
+        plane: query_plane,
         ingest: Some(ingest),
         heartbeat: Some(heartbeat),
+        analytics: Some(analytics),
         profiling,
     })
 }
@@ -448,6 +464,7 @@ fn ingest_loop(
     parked: Arc<AtomicBool>,
     watchdog: Arc<Watchdog>,
     snapshots: Arc<SnapshotCell>,
+    plane: Arc<QueryPlane>,
     labels: Arc<RwLock<VertexLabels>>,
 ) -> IngestStats {
     let session = Session::start(sink as Arc<dyn Sink>);
@@ -610,14 +627,17 @@ fn ingest_loop(
         // at the batch boundary, so a snapshot always reflects whole
         // batches (its watermark is exact).  The window's component
         // gauge is read off the membership the freeze publishes, so it
-        // holds as of the latest freeze.
+        // holds as of the latest freeze.  The analytics lane hears of
+        // each freeze here.
         let periodic_due = cfg.snapshot_every > 0 && stats.batches % cfg.snapshot_every == 0;
         if periodic_due || snapshots.take_refresh_request() {
             let freeze_start = Instant::now();
             let frozen = graph.snapshot();
             let (vertices, edges) = (frozen.num_vertices(), frozen.num_edges());
             let epoch = snapshots.publish(frozen, stats.batches);
-            let components = snapshots.load().membership.active_components();
+            let published = snapshots.load();
+            let components = published.membership.active_components();
+            plane.published(published);
             ingest_metrics::SNAPSHOT_REFRESH_NS.record_duration(freeze_start.elapsed());
             ingest_metrics::SNAPSHOT_EPOCH.set(epoch);
             ingest_metrics::WINDOW_COMPONENTS.set(components as u64);
