@@ -6,6 +6,7 @@
 
 use graphct_core::builder::build_undirected_simple;
 use graphct_core::{CompressedCsr, CsrGraph, EdgeList, GraphView, MmapCsr};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -24,7 +25,7 @@ USAGE:
   graphct gen ba --vertices N --attach M [--seed N] --out FILE
   graphct tweets <h1n1|atlflood|sep1> [--scale-pct P] [--seed N] --out FILE
                                                generate a synthetic tweet
-                                               mention graph (edge list)
+                                               mention graph
   graphct stats <graph> [--frontier KIND] [--alpha A] [--beta B]
                 [--reorder PASS] [--batch K] [--backend B]
                                                degrees, components, diameter
@@ -60,9 +61,6 @@ USAGE:
   graphct trace histo <trace.jsonl> [--name H] list histograms (name, count,
                                                p50/p99); --name H shows the
                                                detailed ASCII chart
-  graphct trace diff <a.jsonl> <b.jsonl>       A/B span + counter deltas
-  graphct trace profdiff <a.folded> <b.folded> compare two folded profile
-                                               dumps (signed self-time deltas)
   graphct trace promcheck <metrics.txt>        validate Prometheus exposition
   graphct help
 
@@ -81,7 +79,7 @@ orientation, so it is a genuine speedup there, not just a cache effect.
 Batched traversal (stats, bc): --batch K runs BFS sources through the
 bit-parallel multi-source engine, K sources (max 64) per adjacency
 scan.  stats defaults to 64; bc defaults to 1 (classic per-source
-Brandes) since the batched forward pass stores all source distances.
+Brandes); batched bc holds one wave of 64 sources' distances at a time.
 Results are identical at every K.
 
 Storage backends (stats, components, bc, triangles): --backend selects how the
@@ -105,14 +103,15 @@ stderr).
 Profiling (stats, components, bc): --profile turns on the continuous
 wall-clock sampler and prints an ASCII flamegraph to stderr at exit;
 --profile-hz HZ overrides the default 97 Hz rate; --profile-out FILE
-also writes the raw folded stacks (speedscope / flamegraph.pl /
-`trace profdiff` input) to FILE.  `graphct serve` samples continuously
+also writes the raw folded stacks (speedscope / flamegraph.pl input)
+to FILE.  `graphct serve` samples continuously
 by default and exposes the live folded stacks at /profile (plain text
 for flamegraph.pl/speedscope; ?format=json, ?format=top variants);
 --profile-hz 0 disables.
 
-Graph files: *.bin = GraphCT binary CSR, *.gr/*.dimacs = DIMACS,
-anything else = 'src dst' edge-list text.";
+Graph files (read, and written by gen/tweets --out): *.bin = GraphCT
+binary CSR, *.gr/*.dimacs = DIMACS, anything else = 'src dst' edge-list
+text.";
 
 /// Printed by `graphct serve --help` and appended to the global help.
 const SERVE_USAGE: &str = "graphct serve — live monitoring + query plane
@@ -150,10 +149,36 @@ Each freeze also sets the graphct_window_components gauge, so with
   GET /v1/snapshot                    current freeze metadata
   GET /v1/snapshot/refresh            request a fresh freeze next batch";
 
+/// The `run` error for a stdout whose reader has gone away
+/// (`graphct bc G.bin | head -1`): the command stops there and exits
+/// quietly, as Unix filters do.
+const STDOUT_CLOSED: &str = "stdout closed";
+
+fn stdout_error(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.into()
+    } else {
+        format!("cannot write to stdout: {e}")
+    }
+}
+
+/// `writeln!` to the command's stdout writer, as a `run` error instead
+/// of `println!`'s panic.
+macro_rules! outln {
+    ($out:expr) => {
+        writeln!($out).map_err(stdout_error)
+    };
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(stdout_error)
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    // One locked writer for everything the command prints.
+    match run(&args, &mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(msg) if msg == STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
@@ -390,12 +415,12 @@ fn parse_profile(name: &str, scale_pct: f64) -> Result<graphct_twitter::DatasetP
 
 /// `graphct serve`: run the live monitoring plane until the batch budget
 /// is exhausted or SIGINT asks for a drain.
-fn serve_cmd(args: &mut Vec<String>) -> Result<(), String> {
+fn serve_cmd(args: &mut Vec<String>, stdout: &mut dyn Write) -> Result<(), String> {
     if args
         .iter()
         .any(|a| a == "--help" || a == "-h" || a == "help")
     {
-        println!("{SERVE_USAGE}");
+        outln!(stdout, "{SERVE_USAGE}")?;
         return Ok(());
     }
     let profile_name = take_flag(args, "--profile")?.unwrap_or_else(|| "atlflood".into());
@@ -433,12 +458,14 @@ fn serve_cmd(args: &mut Vec<String>) -> Result<(), String> {
         topk,
     })
     .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-    println!(
+    outln!(
+        stdout,
         "serving http://{}  endpoints: /metrics /healthz /progress /profile /pause /resume \
          /v1/query/{{topk,component,degree,ego}} /v1/snapshot /v1/snapshot/refresh",
         handle.local_addr()
-    );
-    println!(
+    )?;
+    outln!(
+        stdout,
         "ingesting {profile_name} (seed {seed}): batch {batch_size} mentions every {interval_ms}ms, \
          sliding window {window_batches} batches{}",
         if batches == 0 {
@@ -446,7 +473,7 @@ fn serve_cmd(args: &mut Vec<String>) -> Result<(), String> {
         } else {
             format!(", {batches} batches")
         }
-    );
+    )?;
     while !graphct_obs::sigint_received() && !handle.ingest_finished() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
@@ -454,14 +481,15 @@ fn serve_cmd(args: &mut Vec<String>) -> Result<(), String> {
         eprintln!("SIGINT: draining...");
     }
     let stats = handle.wait();
-    println!(
+    outln!(
+        stdout,
         "drained: {} batches, {} mentions, {} edges inserted, {} expired, {} errors",
         stats.batches,
         stats.mentions,
         stats.edges_inserted,
         stats.edges_expired,
         stats.ingest_errors
-    );
+    )?;
     Ok(())
 }
 
@@ -480,12 +508,11 @@ fn next_path(args: &mut Vec<String>, what: &str) -> Result<PathBuf, String> {
 }
 
 /// `graphct trace`: offline analysis of recorded traces.
-fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
+fn trace_cmd(args: &mut Vec<String>, stdout: &mut dyn Write) -> Result<(), String> {
     use graphct_trace::analyze;
     if args.is_empty() {
         return Err(
-            "trace needs a subcommand (flame|critical-path|imbalance|histo|diff|profdiff|promcheck)"
-                .into(),
+            "trace needs a subcommand (flame|critical-path|imbalance|histo|promcheck)".into(),
         );
     }
     let sub = args.remove(0);
@@ -500,9 +527,14 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
                 Some(path) => {
                     std::fs::write(&path, &text)
                         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    println!("wrote {} folded stacks to {}", folded.len(), path.display());
+                    outln!(
+                        stdout,
+                        "wrote {} folded stacks to {}",
+                        folded.len(),
+                        path.display()
+                    )?;
                 }
-                None => print!("{text}"),
+                None => stdout.write_all(text.as_bytes()).map_err(stdout_error)?,
             }
             Ok(())
         }
@@ -511,13 +543,14 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
             finish_args(args)?;
             let chains = analyze::critical_paths(&load_trace(&file)?);
             if chains.is_empty() {
-                println!("no spans in trace");
+                outln!(stdout, "no spans in trace")?;
                 return Ok(());
             }
             for chain in &chains {
                 let root_ns = chain[0].elapsed_ns.max(1);
                 for (depth, node) in chain.iter().enumerate() {
-                    println!(
+                    outln!(
+                        stdout,
                         "{:indent$}{}  {:.3}ms  ({:.1}% of {})",
                         "",
                         node.name,
@@ -525,7 +558,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
                         100.0 * node.elapsed_ns as f64 / root_ns as f64,
                         chain[0].name,
                         indent = depth * 2
-                    );
+                    )?;
                 }
             }
             Ok(())
@@ -535,23 +568,41 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
             finish_args(args)?;
             let report = analyze::level_imbalance(&load_trace(&file)?);
             if report.dirs.is_empty() {
-                println!("no bfs_level telemetry in trace (run with --trace-out)");
+                outln!(
+                    stdout,
+                    "no bfs_level telemetry in trace (run with --trace-out)"
+                )?;
                 return Ok(());
             }
-            println!("{} BFS runs", report.runs);
-            println!(
+            outln!(stdout, "{} BFS runs", report.runs)?;
+            outln!(
+                stdout,
                 "{:<8} {:>7} {:>14} {:>14} {:>14} {:>8}",
-                "dir", "levels", "edges", "max/level", "mean/level", "spread"
-            );
+                "dir",
+                "levels",
+                "edges",
+                "max/level",
+                "mean/level",
+                "spread"
+            )?;
             for d in &report.dirs {
-                println!(
+                outln!(
+                    stdout,
                     "{:<8} {:>7} {:>14} {:>14} {:>14.1} {:>8.2}",
-                    d.direction, d.levels, d.total_edges, d.max_edges, d.mean_edges, d.spread
-                );
+                    d.direction,
+                    d.levels,
+                    d.total_edges,
+                    d.max_edges,
+                    d.mean_edges,
+                    d.spread
+                )?;
             }
-            println!("heaviest levels:");
+            outln!(stdout, "heaviest levels:")?;
             for (level, dir, edges) in &report.heaviest {
-                println!("  level {level:<4} {dir:<6} {edges} edges inspected");
+                outln!(
+                    stdout,
+                    "  level {level:<4} {dir:<6} {edges} edges inspected"
+                )?;
             }
             Ok(())
         }
@@ -567,126 +618,62 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
                 }
             }
             if reports.is_empty() {
-                println!("no histogram records in trace (run with --trace-out)");
+                outln!(
+                    stdout,
+                    "no histogram records in trace (run with --trace-out)"
+                )?;
                 return Ok(());
             }
             if name.is_none() {
                 // Inventory view: one line per histogram family, so the
                 // reader learns what is in the trace before drilling in
                 // with --name.
-                println!(
+                outln!(
+                    stdout,
                     "{:<28} {:>10} {:>12} {:>12}",
-                    "histogram", "count", "p50", "p99"
-                );
+                    "histogram",
+                    "count",
+                    "p50",
+                    "p99"
+                )?;
                 for report in &reports {
-                    println!(
+                    outln!(
+                        stdout,
                         "{:<28} {:>10} {:>12.0} {:>12.0}",
                         report.name,
                         report.count(),
                         report.quantile(0.5),
                         report.quantile(0.99)
-                    );
+                    )?;
                 }
                 return Ok(());
             }
             for report in &reports {
                 let count = report.count();
-                println!(
+                outln!(
+                    stdout,
                     "{}: {} observations over {} record(s), sum {}",
-                    report.name, count, report.records, report.sum
-                );
-                println!(
+                    report.name,
+                    count,
+                    report.records,
+                    report.sum
+                )?;
+                outln!(
+                    stdout,
                     "  p50 {:.0}  p90 {:.0}  p99 {:.0}  p999 {:.0}",
                     report.quantile(0.5),
                     report.quantile(0.9),
                     report.quantile(0.99),
                     report.quantile(0.999)
-                );
+                )?;
                 let peak = report.counts.iter().copied().max().unwrap_or(0).max(1);
                 for (i, &c) in report.counts.iter().enumerate() {
                     if c == 0 {
                         continue;
                     }
                     let bar = "#".repeat(((c as f64 / peak as f64) * 40.0).ceil() as usize);
-                    println!("  >= {:>12}  {:>10}  {bar}", report.edges[i], c);
+                    outln!(stdout, "  >= {:>12}  {:>10}  {bar}", report.edges[i], c)?;
                 }
-            }
-            Ok(())
-        }
-        "diff" => {
-            let a_path = next_path(args, "baseline trace")?;
-            let b_path = next_path(args, "comparison trace")?;
-            finish_args(args)?;
-            let a = load_trace(&a_path)?;
-            let b = load_trace(&b_path)?;
-            let rows = analyze::diff_spans(&a, &b);
-            if rows.is_empty() {
-                println!("no spans in either trace");
-            } else {
-                println!(
-                    "{:<24} {:>8} {:>8} {:>12} {:>12} {:>9}",
-                    "span", "a_count", "b_count", "a_ms", "b_ms", "delta"
-                );
-                for row in &rows {
-                    let pct = row
-                        .delta_pct()
-                        .map(|p| format!("{p:+.1}%"))
-                        .unwrap_or_else(|| "new".into());
-                    println!(
-                        "{:<24} {:>8} {:>8} {:>12.3} {:>12.3} {:>9}",
-                        row.name,
-                        row.a_count,
-                        row.b_count,
-                        row.a_total_ns as f64 / 1e6,
-                        row.b_total_ns as f64 / 1e6,
-                        pct
-                    );
-                }
-            }
-            let counters = analyze::diff_counters(&a, &b);
-            if !counters.is_empty() {
-                println!("counters:");
-                for c in &counters {
-                    let fmt =
-                        |v: Option<u64>| v.map(|n| n.to_string()).unwrap_or_else(|| "-".into());
-                    println!("  {:<32} {:>14} -> {:<14}", c.name, fmt(c.a), fmt(c.b));
-                }
-            }
-            Ok(())
-        }
-        "profdiff" => {
-            let a_path = next_path(args, "baseline folded dump")?;
-            let b_path = next_path(args, "comparison folded dump")?;
-            finish_args(args)?;
-            let load_folded = |path: &Path| -> Result<Vec<(String, u64)>, String> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                analyze::parse_folded(&text).map_err(|e| format!("{}: {e}", path.display()))
-            };
-            let a = load_folded(&a_path)?;
-            let b = load_folded(&b_path)?;
-            let rows = analyze::diff_folded(&a, &b);
-            if rows.is_empty() {
-                println!("no samples in either dump");
-                return Ok(());
-            }
-            println!(
-                "{:<32} {:>10} {:>10} {:>10} {:>9}",
-                "frame (self samples)", "a", "b", "delta", "pct"
-            );
-            for row in &rows {
-                let pct = row
-                    .delta_pct()
-                    .map(|p| format!("{p:+.1}%"))
-                    .unwrap_or_else(|| "new".into());
-                println!(
-                    "{:<32} {:>10} {:>10} {:>+10} {:>9}",
-                    row.frame,
-                    row.a_count,
-                    row.b_count,
-                    row.delta(),
-                    pct
-                );
             }
             Ok(())
         }
@@ -697,7 +684,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             match graphct_trace::schema::validate_exposition(&text) {
                 Ok(samples) => {
-                    println!("ok: {} ({samples} samples)", file.display());
+                    outln!(stdout, "ok: {} ({samples} samples)", file.display())?;
                     Ok(())
                 }
                 Err((line, msg)) => Err(format!("{}:{line}: {msg}", file.display())),
@@ -705,7 +692,7 @@ fn trace_cmd(args: &mut Vec<String>) -> Result<(), String> {
         }
         other => Err(format!(
             "unknown trace subcommand '{other}' \
-             (flame|critical-path|imbalance|histo|diff|profdiff|promcheck)"
+             (flame|critical-path|imbalance|histo|promcheck)"
         )),
     }
 }
@@ -753,8 +740,21 @@ fn load_directed_graph(path: &Path) -> Result<CsrGraph, String> {
     Ok(graph)
 }
 
+/// Write `edges` in the format [`load_graph`] reads back from `path`'s
+/// extension: `.bin` gets the CSR `load_graph` would build from the
+/// edge-list text, DIMACS extensions get DIMACS, anything else text.
 fn write_edges(path: &Path, edges: &EdgeList) -> Result<(), String> {
-    graphct_core::io::edges_text::write_file(path, edges).map_err(|e| e.to_string())
+    match path.extension().and_then(|e| e.to_str()).unwrap_or("") {
+        "bin" => {
+            let graph = build_undirected_simple(edges).map_err(|e| e.to_string())?;
+            graphct_core::io::binary::save(&graph, path)
+        }
+        "gr" | "dimacs" => {
+            graphct_core::io::dimacs::write_file(path, edges.min_num_vertices(), edges)
+        }
+        _ => graphct_core::io::edges_text::write_file(path, edges),
+    }
+    .map_err(|e| e.to_string())
 }
 
 /// Which storage backend holds the graph while kernels run.
@@ -867,27 +867,34 @@ fn stats_report<G: GraphView>(
     bfs: &graphct_kernels::BfsConfig,
     batch: usize,
     note: Option<String>,
-) {
-    println!(
+    stdout: &mut dyn Write,
+) -> Result<(), String> {
+    outln!(
+        stdout,
         "vertices {}  edges {}  directed {}",
         work.num_vertices(),
         work.num_edges(),
         work.is_directed()
-    );
+    )?;
     if let Some(note) = note {
-        println!("{note}");
+        outln!(stdout, "{note}")?;
     }
     let d = graphct_kernels::degree_statistics(work);
-    println!(
+    outln!(
+        stdout,
         "degrees: mean {:.4} variance {:.4} max {} min {}",
-        d.mean, d.variance, d.max, d.min
-    );
+        d.mean,
+        d.variance,
+        d.max,
+        d.min
+    )?;
     let comps = graphct_kernels::components::ComponentSummary::compute(work);
-    println!(
+    outln!(
+        stdout,
         "components: {} (largest {})",
         comps.num_components(),
         comps.largest_size()
-    );
+    )?;
     let dia = graphct_kernels::diameter::estimate_diameter_batched(
         diameter_csr,
         graphct_kernels::diameter::DEFAULT_SAMPLES,
@@ -896,30 +903,31 @@ fn stats_report<G: GraphView>(
         bfs,
         batch,
     );
-    println!(
+    outln!(
+        stdout,
         "diameter estimate {} (longest distance {} over {} sources, {:?} frontier, batch {})",
         dia.estimate,
         dia.max_distance_found,
         dia.samples,
         bfs.frontier,
         batch.clamp(1, graphct_kernels::MAX_BATCH)
-    );
+    )
 }
 
 /// Backend memory observability line for `graphct stats`: the backend
 /// detail plus process RSS.  `sample_rss` also publishes the
 /// `rss_bytes` gauge when a trace session is live.
-fn print_memory_line(detail: &str) {
+fn print_memory_line(detail: &str, stdout: &mut dyn Write) -> Result<(), String> {
     let rss = graphct_core::MemoryProbe::sample_rss()
         .map(|b| format!("rss {b} B; "))
         .unwrap_or_default();
-    println!("memory: {rss}{detail}");
+    outln!(stdout, "memory: {rss}{detail}")
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), String> {
     let mut args = args.to_vec();
     if args.is_empty() {
-        println!("{USAGE}\n\n{SERVE_USAGE}");
+        outln!(stdout, "{USAGE}\n\n{SERVE_USAGE}")?;
         return Ok(());
     }
     let cmd = args.remove(0);
@@ -928,16 +936,16 @@ fn run(args: &[String]) -> Result<(), String> {
     // so it is dispatched before the shared telemetry flags are consumed.
     // `trace` *reads* trace files; tracing the reader would be noise.
     if cmd == "serve" {
-        return serve_cmd(&mut args);
+        return serve_cmd(&mut args, stdout);
     }
     if cmd == "trace" {
-        return trace_cmd(&mut args);
+        return trace_cmd(&mut args, stdout);
     }
     let _trace_session = start_trace(&mut args)?;
     let _profiler_guard = start_profiler(&mut args, _trace_session.is_some())?;
     match cmd.as_str() {
         "help" | "--help" | "-h" => {
-            println!("{USAGE}\n\n{SERVE_USAGE}");
+            outln!(stdout, "{USAGE}\n\n{SERVE_USAGE}")?;
             Ok(())
         }
         "script" => {
@@ -956,7 +964,7 @@ fn run(args: &[String]) -> Result<(), String> {
             engine.base_dir = base_dir;
             engine.run_script(&text).map_err(|e| e.to_string())?;
             for line in &engine.output {
-                println!("{line}");
+                outln!(stdout, "{line}")?;
             }
             Ok(())
         }
@@ -989,7 +997,7 @@ fn run(args: &[String]) -> Result<(), String> {
             finish_args(&args)?;
             let edges = generate();
             write_edges(&out, &edges)?;
-            println!("wrote {} edges to {}", edges.len(), out.display());
+            outln!(stdout, "wrote {} edges to {}", edges.len(), out.display())?;
             Ok(())
         }
         "tweets" => {
@@ -1006,14 +1014,15 @@ fn run(args: &[String]) -> Result<(), String> {
             let tg = graphct_twitter::build_tweet_graph(&tweets).map_err(|e| e.to_string())?;
             let edges: EdgeList = tg.undirected.iter_arcs().filter(|&(s, t)| s < t).collect();
             write_edges(&out, &edges)?;
-            println!(
+            outln!(
+                stdout,
                 "profile {}: {} tweets, {} users, {} unique interactions -> {}",
                 profile.name,
                 tg.num_tweets,
                 tg.undirected.num_vertices(),
                 tg.undirected.num_edges(),
                 out.display()
-            );
+            )?;
             Ok(())
         }
         "stats" => {
@@ -1037,32 +1046,38 @@ fn run(args: &[String]) -> Result<(), String> {
                     let note = view
                         .as_ref()
                         .map(|v| format!("reorder: {} pass applied", v.kind()));
-                    stats_report(work, work, &bfs, batch, note);
+                    stats_report(work, work, &bfs, batch, note, stdout)?;
                 }
                 BackendGraph::Mapped(m) => {
                     let (resident_before, mapped) = m.residency();
                     // The diameter estimator still wants a heap CSR; the
                     // degree/component kernels run off the mapping.
                     let csr = m.to_csr_graph();
-                    stats_report(m, &csr, &bfs, batch, bg.describe());
+                    stats_report(m, &csr, &bfs, batch, bg.describe(), stdout)?;
                     // Sampling after the kernels also publishes the
                     // graphct_mmap_*_bytes gauges when tracing is on.
                     let (resident_after, _) = m.sample_residency();
-                    print_memory_line(&format!(
-                        "mmap resident {resident_before} -> {resident_after} of {mapped} B mapped \
-                         (before -> after traversal)"
-                    ));
+                    print_memory_line(
+                        &format!(
+                            "mmap resident {resident_before} -> {resident_after} of {mapped} B \
+                             mapped (before -> after traversal)"
+                        ),
+                        stdout,
+                    )?;
                 }
                 BackendGraph::Compressed(c) => {
                     let csr = c.to_csr();
-                    stats_report(c, &csr, &bfs, batch, bg.describe());
-                    print_memory_line(&format!(
-                        "decode work: {} varints, {} B touched, {} blocks ({} re-decoded)",
-                        graphct_core::compressed::COMPRESSED_VARINTS_DECODED.value(),
-                        graphct_core::compressed::COMPRESSED_BYTES_TOUCHED.value(),
-                        graphct_core::compressed::COMPRESSED_BLOCKS_DECODED.value(),
-                        graphct_core::compressed::COMPRESSED_BLOCKS_REDECODED.value(),
-                    ));
+                    stats_report(c, &csr, &bfs, batch, bg.describe(), stdout)?;
+                    print_memory_line(
+                        &format!(
+                            "decode work: {} varints, {} B touched, {} blocks ({} re-decoded)",
+                            graphct_core::compressed::COMPRESSED_VARINTS_DECODED.value(),
+                            graphct_core::compressed::COMPRESSED_BYTES_TOUCHED.value(),
+                            graphct_core::compressed::COMPRESSED_BLOCKS_DECODED.value(),
+                            graphct_core::compressed::COMPRESSED_BLOCKS_REDECODED.value(),
+                        ),
+                        stdout,
+                    )?;
                 }
             }
             Ok(())
@@ -1104,25 +1119,27 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             };
             let comps = graphct_kernels::components::ComponentSummary::from_colors(colors);
-            println!(
+            outln!(
+                stdout,
                 "vertices {}  edges {}  components {}",
                 bg.num_vertices(),
                 bg.num_edges(),
                 comps.num_components()
-            );
+            )?;
             if let Some(note) = note {
-                println!("{note}");
+                outln!(stdout, "{note}")?;
             }
             for rank in 0..top {
                 let Some((root, size)) = comps.nth_largest(rank) else {
                     break;
                 };
-                println!(
+                outln!(
+                    stdout,
                     "{:>4}  component root {:>10}  size {}",
                     rank + 1,
                     root,
                     size
-                );
+                )?;
             }
             Ok(())
         }
@@ -1144,7 +1161,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let bg = load_backend(&path, backend)?;
             if let Some(note) = bg.describe() {
-                println!("{note}; materialized to a heap CSR for betweenness");
+                outln!(stdout, "{note}; materialized to a heap CSR for betweenness")?;
             }
             let graph = match bg {
                 BackendGraph::Plain(g) => g,
@@ -1165,7 +1182,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(v) => v.restore(&result.scores),
                 None => result.scores.clone(),
             };
-            println!(
+            outln!(
+                stdout,
                 "betweenness over {} sources in {:.3}s{}{}",
                 result.sources.len(),
                 elapsed.as_secs_f64(),
@@ -1176,12 +1194,18 @@ fn run(args: &[String]) -> Result<(), String> {
                 },
                 view.as_ref()
                     .map_or(String::new(), |v| format!(" ({} reorder)", v.kind()))
-            );
+            )?;
             for (rank, v) in graphct_metrics::top_k_indices(&scores, top)
                 .into_iter()
                 .enumerate()
             {
-                println!("{:>4}  vertex {:>10}  score {:.2}", rank + 1, v, scores[v]);
+                outln!(
+                    stdout,
+                    "{:>4}  vertex {:>10}  score {:.2}",
+                    rank + 1,
+                    v,
+                    scores[v]
+                )?;
             }
             Ok(())
         }
@@ -1212,7 +1236,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     _ => {
                         let bg = load_backend(&path, backend)?;
                         if let Some(note) = bg.describe() {
-                            println!("{note}; materialized to a heap CSR for the census");
+                            outln!(stdout, "{note}; materialized to a heap CSR for the census")?;
                         }
                         bg.to_plain()
                     }
@@ -1220,15 +1244,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 let start = std::time::Instant::now();
                 let counts = graphct_kernels::triad_census(&graph).map_err(|e| e.to_string())?;
                 let elapsed = start.elapsed();
-                println!(
+                outln!(
+                    stdout,
                     "vertices {}  arcs {}  triples {}",
                     graph.num_vertices(),
                     graph.num_arcs(),
                     counts.iter().sum::<u64>()
-                );
-                println!("triad census in {:.3}s", elapsed.as_secs_f64());
+                )?;
+                outln!(stdout, "triad census in {:.3}s", elapsed.as_secs_f64())?;
                 for (name, count) in graphct_kernels::TRIAD_CLASSES.iter().zip(counts) {
-                    println!("{name:>6}  {count}");
+                    outln!(stdout, "{name:>6}  {count}")?;
                 }
                 return Ok(());
             }
@@ -1275,11 +1300,23 @@ fn run(args: &[String]) -> Result<(), String> {
             } else {
                 3.0 * total as f64 / wedges as f64
             };
-            println!("vertices {}  edges {}", bg.num_vertices(), bg.num_edges());
-            println!("triangles {total}  wedges {wedges}  transitivity {transitivity:.6}");
-            println!("counted in {:.3}s (forward merge)", elapsed.as_secs_f64());
+            outln!(
+                stdout,
+                "vertices {}  edges {}",
+                bg.num_vertices(),
+                bg.num_edges()
+            )?;
+            outln!(
+                stdout,
+                "triangles {total}  wedges {wedges}  transitivity {transitivity:.6}"
+            )?;
+            outln!(
+                stdout,
+                "counted in {:.3}s (forward merge)",
+                elapsed.as_secs_f64()
+            )?;
             if let Some(note) = note {
-                println!("{note}");
+                outln!(stdout, "{note}")?;
             }
             let scores: Vec<f64> = per_vertex.iter().map(|&t| t as f64).collect();
             for (rank, v) in graphct_metrics::top_k_indices(&scores, top)
@@ -1296,13 +1333,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 } else {
                     2.0 * per_vertex[v] as f64 / (d * (d - 1)) as f64
                 };
-                println!(
+                outln!(
+                    stdout,
                     "{:>4}  vertex {:>10}  triangles {:>8}  clustering {:.4}",
                     rank + 1,
                     v,
                     per_vertex[v],
                     coeff
-                );
+                )?;
             }
             Ok(())
         }
@@ -1315,12 +1353,13 @@ fn run(args: &[String]) -> Result<(), String> {
             finish_args(&args)?;
             let graph = load_graph(&input)?;
             graphct_core::io::binary::save(&graph, &out).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
+                stdout,
                 "wrote {} vertices, {} arcs to {} (format v2)",
                 graph.num_vertices(),
                 graph.num_arcs(),
                 out.display()
-            );
+            )?;
             Ok(())
         }
         other => Err(format!("unknown command '{other}' (try 'graphct help')")),

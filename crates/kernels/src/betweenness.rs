@@ -127,13 +127,13 @@ pub struct BetweennessConfig {
     /// MS-BFS batch width for the forward passes (the CLI's `--batch`).
     /// `1` (the default) runs the classic per-source Brandes forward
     /// pass.  Larger widths — clamped to
-    /// [`MAX_BATCH`](crate::msbfs::MAX_BATCH) — precompute all source
+    /// [`MAX_BATCH`](crate::msbfs::MAX_BATCH) — precompute source
     /// distances with the bit-parallel [`crate::msbfs::MsBfs`] engine,
     /// sharing each adjacency scan across up to 64 sources, then rebuild
-    /// per-source path counts from those distances.  Costs
-    /// O(|sources| · n) words of distance storage, so it is intended
-    /// for *sampled* runs (the paper's 256-source configuration), not
-    /// exact all-sources sweeps on large graphs.
+    /// per-source path counts from those distances.  Sources run in
+    /// waves of `MAX_BATCH`, each accumulated before the next is
+    /// traversed, so distance storage is one wave's `MAX_BATCH · n`
+    /// words at any sample size.
     pub batch: usize,
 }
 
@@ -510,41 +510,6 @@ pub fn select_sources(graph: &CsrGraph, spec: &SamplingSpec) -> Vec<VertexId> {
     sources
 }
 
-/// Raw (unscaled) accumulation over an explicit source list — the
-/// building block the confidence estimator batches over.
-pub(crate) fn accumulate_for_sources(graph: &CsrGraph, sources: &[VertexId]) -> Vec<f64> {
-    let n = graph.num_vertices();
-    if sources.is_empty() {
-        return vec![0.0; n];
-    }
-    let transpose;
-    let predecessors: &CsrGraph = if graph.is_directed() {
-        transpose = graph.transpose();
-        &transpose
-    } else {
-        graph
-    };
-    let degrees = graph.degrees();
-    let mut ws = Workspace::new(n);
-    let mut scores = vec![0.0; n];
-    for &s in sources {
-        let t = graphct_trace::enabled().then(std::time::Instant::now);
-        accumulate_source(
-            graph,
-            predecessors,
-            s,
-            &BfsConfig::default(),
-            &degrees,
-            &mut ws,
-            &mut scores,
-        );
-        if let Some(t) = t {
-            report_source(s, ws.order.len(), t.elapsed());
-        }
-    }
-    scores
-}
-
 /// Coarse parallelism over sources, shared by the betweenness kernels:
 /// each task folds a chunk of `sources` into a private score vector,
 /// amortizing one `workspace()` over many source iterations, and the
@@ -628,18 +593,29 @@ pub fn betweenness_centrality(
 
     let workspace = || Workspace::new(n);
     let mut scores = if config.batch > 1 {
-        // Batched forward pass: one MS-BFS sweep computes every source's
-        // distances (64 sources per adjacency scan), then each source
-        // rebuilds path counts from its precomputed levels.
+        // Batched forward pass: MS-BFS computes a wave's distances (up
+        // to 64 sources per adjacency scan), then each source rebuilds
+        // path counts from its levels.  Levels cost 4n bytes per source,
+        // so only one wave's are live at a time.
         let engine = crate::bfs::HybridBfs::with_config(graph, config.bfs);
-        let levels = crate::msbfs::MsBfs::new(&engine).levels_many(&sources, config.batch);
-        sum_over_sources(&sources, n, workspace, |i, s, ws, local| {
-            let t = graphct_trace::enabled().then(std::time::Instant::now);
-            accumulate_source_with_levels(predecessors, s, &levels[i], ws, local);
-            if let Some(t) = t {
-                report_source(s, ws.order.len(), t.elapsed());
-            }
-        })
+        let msbfs = crate::msbfs::MsBfs::new(&engine);
+        sources
+            .chunks(crate::msbfs::MAX_BATCH)
+            .map(|wave| {
+                let levels = msbfs.levels_many(wave, config.batch);
+                sum_over_sources(wave, n, workspace, |i, s, ws, local| {
+                    let t = graphct_trace::enabled().then(std::time::Instant::now);
+                    accumulate_source_with_levels(predecessors, s, &levels[i], ws, local);
+                    if let Some(t) = t {
+                        report_source(s, ws.order.len(), t.elapsed());
+                    }
+                })
+            })
+            .reduce(|mut total, part| {
+                total.iter_mut().zip(part).for_each(|(x, y)| *x += y);
+                total
+            })
+            .expect("sources is non-empty")
     } else {
         let degrees = graph.degrees();
         sum_over_sources(&sources, n, workspace, |_, s, ws, local| {
@@ -854,14 +830,15 @@ mod tests {
     fn batched_forward_pass_matches_classic() {
         // Same scores (up to fp summation order) whether the forward
         // pass runs inline per source or batched through MS-BFS — on
-        // undirected and directed graphs, exact and sampled.
+        // undirected and directed graphs, exact (three waves of
+        // `MAX_BATCH` sources) and sampled.
         let mut x = 29u64;
         let mut edges = Vec::new();
-        for _ in 0..200 {
+        for _ in 0..600 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(9);
-            let s = ((x >> 32) % 50) as u32;
+            let s = ((x >> 32) % 150) as u32;
             x = x.wrapping_mul(6364136223846793005).wrapping_add(9);
-            let t = ((x >> 32) % 50) as u32;
+            let t = ((x >> 32) % 150) as u32;
             edges.push((s, t));
         }
         let undirected = graph(&edges);

@@ -33,9 +33,8 @@
 //! * **Kernels with *configuration* preconditions return
 //!   `Result<_, GraphError>`.**  Anything that validates a caller-supplied
 //!   spec — a sampling fraction outside `[0, 1]`
-//!   ([`betweenness_centrality`], [`k_betweenness_centrality`]), a batch
-//!   count that cannot fill the requested groups
-//!   ([`betweenness_with_confidence`]) — reports the bad argument as
+//!   ([`betweenness_centrality`], [`k_betweenness_centrality`]) —
+//!   reports the bad argument as
 //!   [`GraphError::InvalidArgument`](graphct_core::GraphError) instead of
 //!   panicking.
 //! * **Out-of-range vertex ids are programmer errors and panic.**  A
@@ -47,7 +46,6 @@ pub mod betweenness;
 pub mod bfs;
 pub mod clustering;
 pub mod components;
-pub mod confidence;
 pub mod degree;
 pub mod diameter;
 pub mod kbetweenness;
@@ -71,7 +69,6 @@ pub use clustering::{
     triangle_counts, ClusteringSummary,
 };
 pub use components::{connected_components, ComponentSummary};
-pub use confidence::{betweenness_with_confidence, BetweennessCi};
 pub use degree::{degree_statistics, DegreeStats};
 pub use diameter::{estimate_diameter, estimate_diameter_batched, DiameterEstimate};
 pub use kbetweenness::{k_betweenness_centrality, KBetweennessConfig};

@@ -1,127 +1,11 @@
-//! Incremental connected components under edge insertions.
+//! Component membership of a frozen snapshot.
 //!
-//! Union-find with union-by-size and path compression tracks the
-//! component structure as edges stream in — O(α(n)) amortized per
-//! insertion.  Deletions may split components, which union-find cannot
-//! express; [`IncrementalComponents::rebuild`] recomputes from a
-//! supplied graph, the standard recourse in the streaming systems of
-//! the paper's era (the static kernel is fast enough that batched
-//! rebuilds amortize well).
+//! [`SnapshotCell::publish`](crate::SnapshotCell::publish) labels every
+//! freeze once, outside the cell's lock, with one union-find pass over
+//! the CSR (union-by-size, path compression): O(m α(n)), no traversal
+//! scratch.
 
 use graphct_core::{CsrGraph, VertexId};
-
-/// Union-find over the vertex set.
-#[derive(Debug, Clone)]
-pub struct IncrementalComponents {
-    parent: Vec<VertexId>,
-    size: Vec<u32>,
-    num_components: usize,
-}
-
-impl IncrementalComponents {
-    /// `n` singleton components.
-    pub fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as VertexId).collect(),
-            size: vec![1; n],
-            num_components: n,
-        }
-    }
-
-    /// Initialize from a static snapshot (one union per edge).
-    pub fn from_csr(graph: &CsrGraph) -> Self {
-        let mut uf = Self::new(graph.num_vertices());
-        for (u, v) in graph.iter_arcs() {
-            if u < v {
-                uf.union(u, v);
-            }
-        }
-        uf
-    }
-
-    /// Number of vertices tracked.
-    pub fn num_vertices(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Current number of components.
-    pub fn num_components(&self) -> usize {
-        self.num_components
-    }
-
-    /// Representative of `v`'s component (with path compression).
-    pub fn find(&mut self, v: VertexId) -> VertexId {
-        let mut root = v;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        // Compress.
-        let mut cur = v;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Size of `v`'s component.
-    pub fn component_size(&mut self, v: VertexId) -> usize {
-        let r = self.find(v);
-        self.size[r as usize] as usize
-    }
-
-    /// `true` when `u` and `v` share a component.
-    pub fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.find(u) == self.find(v)
-    }
-
-    /// Record edge `(u, v)`; returns `true` when it merged two
-    /// components.
-    pub fn union(&mut self, u: VertexId, v: VertexId) -> bool {
-        let mut ru = self.find(u);
-        let mut rv = self.find(v);
-        if ru == rv {
-            return false;
-        }
-        if self.size[ru as usize] < self.size[rv as usize] {
-            std::mem::swap(&mut ru, &mut rv);
-        }
-        self.parent[rv as usize] = ru;
-        self.size[ru as usize] += self.size[rv as usize];
-        self.num_components -= 1;
-        true
-    }
-
-    /// Re-derive the structure from a graph (after deletions).
-    pub fn rebuild(&mut self, graph: &CsrGraph) {
-        let _span =
-            graphct_trace::span!("stream_components_rebuild", vertices = graph.num_vertices());
-        *self = Self::from_csr(graph);
-    }
-
-    /// A canonical labeling compatible with
-    /// [`graphct_kernels::connected_components`] — every vertex labeled
-    /// by the minimum vertex id in its component — plus each label's
-    /// population, in one sweep: vertices are visited in ascending id
-    /// order, so the first one met for a root is its minimum, and the
-    /// root's union-by-size count is the component's size.
-    pub fn labels(&mut self) -> Membership {
-        let n = self.parent.len();
-        let mut label_of_root = vec![VertexId::MAX; n];
-        let mut colors = Vec::with_capacity(n);
-        let mut sizes = vec![0usize; n];
-        for v in 0..n as VertexId {
-            let r = self.find(v) as usize;
-            if label_of_root[r] == VertexId::MAX {
-                label_of_root[r] = v;
-                sizes[v as usize] = self.size[r] as usize;
-            }
-            colors.push(label_of_root[r]);
-        }
-        Membership { colors, sizes }
-    }
-}
 
 /// Component membership of one graph: canonical min-id labels (as
 /// [`graphct_kernels::connected_components`] assigns them) plus
@@ -136,6 +20,32 @@ pub struct Membership {
 }
 
 impl Membership {
+    /// The membership of `graph`: one union per edge, then one sweep in
+    /// ascending vertex order, so the first vertex met for a root is its
+    /// component's minimum id (the label) and the root's union-by-size
+    /// count is the component's size.
+    pub(crate) fn of(graph: &CsrGraph) -> Self {
+        let n = graph.num_vertices();
+        let mut uf = UnionFind::new(n);
+        for (u, v) in graph.iter_arcs() {
+            if u < v {
+                uf.union(u, v);
+            }
+        }
+        let mut label_of_root = vec![VertexId::MAX; n];
+        let mut colors = Vec::with_capacity(n);
+        let mut sizes = vec![0usize; n];
+        for v in 0..n as VertexId {
+            let r = uf.find(v) as usize;
+            if label_of_root[r] == VertexId::MAX {
+                label_of_root[r] = v;
+                sizes[v as usize] = uf.size[r] as usize;
+            }
+            colors.push(label_of_root[r]);
+        }
+        Self { colors, sizes }
+    }
+
     /// Components with at least one edge.  In a simple graph a vertex
     /// is isolated exactly when its component is a singleton, so these
     /// are the labels of size ≥ 2.
@@ -144,27 +54,56 @@ impl Membership {
     }
 }
 
+/// Union-find over the vertex set.
+struct UnionFind {
+    parent: Vec<VertexId>,
+    size: Vec<u32>,
+}
+
+impl UnionFind {
+    /// `n` singleton components.
+    fn new(n: usize) -> Self {
+        Self {
+            parent: (0..n as VertexId).collect(),
+            size: vec![1; n],
+        }
+    }
+
+    /// Representative of `v`'s component (with path compression).
+    fn find(&mut self, v: VertexId) -> VertexId {
+        let mut root = v;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        let mut cur = v;
+        while self.parent[cur as usize] != root {
+            let next = self.parent[cur as usize];
+            self.parent[cur as usize] = root;
+            cur = next;
+        }
+        root
+    }
+
+    /// Merge the components of `u` and `v`, the smaller under the larger.
+    fn union(&mut self, u: VertexId, v: VertexId) {
+        let mut ru = self.find(u);
+        let mut rv = self.find(v);
+        if ru == rv {
+            return;
+        }
+        if self.size[ru as usize] < self.size[rv as usize] {
+            std::mem::swap(&mut ru, &mut rv);
+        }
+        self.parent[rv as usize] = ru;
+        self.size[ru as usize] += self.size[rv as usize];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphct_core::builder::build_undirected_simple;
     use graphct_core::EdgeList;
-
-    #[test]
-    fn singletons_then_unions() {
-        let mut uf = IncrementalComponents::new(5);
-        assert_eq!(uf.num_components(), 5);
-        assert!(uf.union(0, 1));
-        assert!(uf.union(2, 3));
-        assert!(!uf.union(1, 0), "repeat union is a no-op");
-        assert_eq!(uf.num_components(), 3);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
-        assert!(uf.union(1, 2));
-        assert!(uf.connected(0, 3));
-        assert_eq!(uf.component_size(3), 4);
-        assert_eq!(uf.component_size(4), 1);
-    }
 
     #[test]
     fn labels_match_static_kernel() {
@@ -177,43 +116,20 @@ mod tests {
             let v = ((x >> 32) % 200) as u32;
             edges.push((u, v));
         }
-        let g = build_undirected_simple(&EdgeList::from_pairs(edges.clone())).unwrap();
-        // Stream the edges in one at a time.
-        let mut uf = IncrementalComponents::new(g.num_vertices());
-        for &(u, v) in &edges {
-            if u != v {
-                uf.union(u, v);
-            }
-        }
-        let membership = uf.labels();
+        let g = build_undirected_simple(&EdgeList::from_pairs(edges)).unwrap();
+        let membership = Membership::of(&g);
         assert_eq!(membership.colors, graphct_kernels::connected_components(&g));
-        // And the bulk constructor agrees.
-        let mut uf2 = IncrementalComponents::from_csr(&g);
-        assert_eq!(uf2.labels(), membership);
-        assert_eq!(
-            uf.num_components(),
-            graphct_kernels::components::ComponentSummary::compute(&g).num_components()
-        );
-    }
-
-    #[test]
-    fn rebuild_after_deletion() {
-        // 0-1-2 chain; delete (1,2) and rebuild.
-        let mut sg = crate::StreamingGraph::new(3);
-        sg.insert_edge(0, 1).unwrap();
-        sg.insert_edge(1, 2).unwrap();
-        let mut uf = IncrementalComponents::from_csr(&sg.snapshot());
-        assert_eq!(uf.num_components(), 1);
-        sg.delete_edge(1, 2).unwrap();
-        uf.rebuild(&sg.snapshot());
-        assert_eq!(uf.num_components(), 2);
-        assert!(!uf.connected(0, 2));
+        let summary = graphct_kernels::components::ComponentSummary::compute(&g);
+        let labels = membership.sizes.iter().filter(|&&s| s > 0).count();
+        assert_eq!(labels, summary.num_components());
+        assert_eq!(membership.sizes.iter().sum::<usize>(), g.num_vertices());
     }
 
     #[test]
     fn empty_structure() {
-        let mut uf = IncrementalComponents::new(0);
-        assert_eq!(uf.num_components(), 0);
-        assert_eq!(uf.labels(), Membership::default());
+        assert_eq!(
+            Membership::of(&CsrGraph::empty(0, false)),
+            Membership::default()
+        );
     }
 }

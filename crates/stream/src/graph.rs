@@ -13,9 +13,8 @@ pub enum EdgeUpdate {
 
 /// An undirected simple dynamic graph.
 ///
-/// Adjacency lists are kept **sorted**, so neighbor intersection — the
-/// primitive behind incremental triangle counting — stays a linear
-/// merge, and a [`CsrGraph`] snapshot is a flat copy.  Self-loops and
+/// Adjacency lists are kept **sorted**, so an update is a binary search
+/// and a [`CsrGraph`] snapshot is a flat copy.  Self-loops and
 /// duplicate edges are rejected at the update level (the static
 /// builder's `Dedup`/`Drop` policies, enforced incrementally).
 #[derive(Debug, Clone, Default)]

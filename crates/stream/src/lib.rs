@@ -5,31 +5,24 @@
 //! only a snapshot, but ongoing work examines the data's temporal
 //! aspects" (§I-B), citing the authors' companion study *"Massive
 //! streaming data analytics: a case study with clustering coefficients"*
-//! (MTAAP 2010, paper ref. [10]).  This crate implements that extension:
+//! (MTAAP 2010, paper ref. [10]).  This crate holds the part of that
+//! extension the live service runs:
 //!
 //! * [`StreamingGraph`] — an undirected dynamic graph accepting batched
 //!   edge insertions and deletions (the STINGER-style update model of
 //!   ref. [10]);
-//! * [`IncrementalClustering`] — exact per-vertex triangle counts and
-//!   clustering coefficients maintained under updates, at
-//!   O(deg(u) + deg(v)) per edge instead of a full recount;
-//! * [`IncrementalComponents`] — connected components under insertions
-//!   via union-find (deletions trigger a recompute, the standard
-//!   trade-off of the streaming literature of that era), labelling each
-//!   freeze's [`Membership`];
 //! * [`SnapshotCell`] — epoch-tagged [`Snapshot`] freezes for the live
-//!   query plane, each published with its membership.
+//!   query plane, each published with its component [`Membership`].
 //!
-//! Everything is verified against from-scratch recomputation by the
-//! static kernels in `graphct-kernels`.
+//! Per-freeze analytics (clustering, components) run the static kernels
+//! of `graphct-kernels` on the frozen CSR; the tests check every freeze
+//! against them.
 
-pub mod clustering;
 pub mod components;
 pub mod graph;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use clustering::IncrementalClustering;
-pub use components::{IncrementalComponents, Membership};
+pub use components::Membership;
 pub use graph::{EdgeUpdate, StreamingGraph};
 pub use snapshot::{Snapshot, SnapshotCell};

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use graphct_core::CsrGraph;
 
-use crate::components::{IncrementalComponents, Membership};
+use crate::components::Membership;
 
 /// One immutable point-in-time freeze of the streaming graph.
 #[derive(Debug, Clone)]
@@ -106,7 +106,7 @@ impl SnapshotCell {
     /// before the lock is taken, so readers never wait on it.  The
     /// replaced snapshot stays alive until its last reader drops it.
     pub fn publish(&self, graph: CsrGraph, watermark_batch: u64) -> u64 {
-        let membership = IncrementalComponents::from_csr(&graph).labels();
+        let membership = Membership::of(&graph);
         let mut slot = self.current.lock().expect("snapshot cell poisoned");
         let epoch = slot.epoch + 1;
         *slot = Arc::new(Snapshot::new(epoch, watermark_batch, graph, membership));

@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A [`GlobalAlloc`] wrapper over [`System`] that tracks live and peak
 /// heap bytes.
@@ -27,7 +26,6 @@ pub struct CountingAllocator;
 fn on_alloc(size: usize) {
     let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    TOTAL_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 #[inline]
@@ -77,11 +75,6 @@ pub fn live_bytes() -> u64 {
 /// [`reset_peak`]).
 pub fn peak_bytes() -> u64 {
     PEAK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Total number of allocations since process start.
-pub fn total_allocations() -> u64 {
-    TOTAL_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Restart peak tracking from the current live figure, so a session

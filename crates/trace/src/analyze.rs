@@ -12,8 +12,8 @@
 //!   heaviest child chain),
 //! * per-level BFS push/pull work spread ([`level_imbalance`] — over the
 //!   `bfs_level` records the hybrid kernel emits), and
-//! * an A/B per-span delta table ([`diff_spans`] / [`diff_counters`] —
-//!   how `graphct trace diff` attributes overhead between two runs).
+//! * per-name histogram reports ([`collect_histograms`] — `graphct
+//!   trace histo`).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -164,8 +164,8 @@ pub fn render_folded(stacks: &[(String, u64)]) -> String {
 }
 
 /// Parse folded-stack text back into `(path, count)` pairs (the
-/// round-trip direction, used by tests and by `trace diff` on folded
-/// input).
+/// round-trip direction: tests read `/profile` and `--profile-out`
+/// dumps with it).
 pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -184,82 +184,6 @@ pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
         out.push((path.to_owned(), count));
     }
     Ok(out)
-}
-
-/// Merge several folded-stack dumps into one, summing counts per path.
-/// Associative and order-insensitive by construction (a `BTreeMap` sum),
-/// so partial folds from different threads or time windows can be
-/// combined in any grouping.
-pub fn merge_folded(dumps: &[Vec<(String, u64)>]) -> Vec<(String, u64)> {
-    let mut total: BTreeMap<String, u64> = BTreeMap::new();
-    for dump in dumps {
-        for (path, count) in dump {
-            *total.entry(path.clone()).or_insert(0) += count;
-        }
-    }
-    total.into_iter().collect()
-}
-
-/// One row of a folded-dump comparison: self-count per *leaf frame*
-/// (innermost path segment, `[cpu]`/`[idle]` state segments excluded)
-/// in each dump.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoldedDiffRow {
-    /// Leaf frame name.
-    pub frame: String,
-    /// Self count in dump A.
-    pub a_count: u64,
-    /// Self count in dump B.
-    pub b_count: u64,
-}
-
-impl FoldedDiffRow {
-    /// Signed self-count delta, B minus A.
-    pub fn delta(&self) -> i64 {
-        self.b_count as i64 - self.a_count as i64
-    }
-
-    /// Relative delta in percent (`None` when A has no samples).
-    pub fn delta_pct(&self) -> Option<f64> {
-        if self.a_count == 0 {
-            None
-        } else {
-            Some(100.0 * self.delta() as f64 / self.a_count as f64)
-        }
-    }
-}
-
-fn leaf_self_counts(dump: &[(String, u64)]) -> BTreeMap<String, u64> {
-    let mut by_leaf: BTreeMap<String, u64> = BTreeMap::new();
-    for (path, count) in dump {
-        let leaf = path
-            .rsplit(';')
-            .find(|s| *s != "[cpu]" && *s != "[idle]")
-            .unwrap_or(path.as_str());
-        *by_leaf.entry(leaf.to_owned()).or_insert(0) += count;
-    }
-    by_leaf
-}
-
-/// Compare two folded dumps by per-frame self counts, sorted by
-/// absolute delta, largest first.  Frames present in only one dump
-/// appear with zero on the other side.
-pub fn diff_folded(a: &[(String, u64)], b: &[(String, u64)]) -> Vec<FoldedDiffRow> {
-    let leaf_a = leaf_self_counts(a);
-    let leaf_b = leaf_self_counts(b);
-    let mut frames: Vec<&String> = leaf_a.keys().chain(leaf_b.keys()).collect();
-    frames.sort();
-    frames.dedup();
-    let mut rows: Vec<FoldedDiffRow> = frames
-        .into_iter()
-        .map(|frame| FoldedDiffRow {
-            frame: frame.clone(),
-            a_count: leaf_a.get(frame).copied().unwrap_or(0),
-            b_count: leaf_b.get(frame).copied().unwrap_or(0),
-        })
-        .collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.delta().unsigned_abs()));
-    rows
 }
 
 /// Render folded stacks as an indented ASCII flamegraph: one line per
@@ -461,110 +385,6 @@ pub fn level_imbalance(recs: &[Rec]) -> ImbalanceReport {
         dirs,
         heaviest,
     }
-}
-
-/// One row of the A/B span delta table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffRow {
-    /// Span name.
-    pub name: String,
-    /// Invocations in run A / run B.
-    pub a_count: u64,
-    /// Invocations in run B.
-    pub b_count: u64,
-    /// Total time in run A.
-    pub a_total_ns: u64,
-    /// Total time in run B.
-    pub b_total_ns: u64,
-}
-
-impl DiffRow {
-    /// Signed time delta, B minus A.
-    pub fn delta_ns(&self) -> i64 {
-        self.b_total_ns as i64 - self.a_total_ns as i64
-    }
-
-    /// Relative time delta in percent (`None` when A spent no time).
-    pub fn delta_pct(&self) -> Option<f64> {
-        if self.a_total_ns == 0 {
-            None
-        } else {
-            Some(100.0 * self.delta_ns() as f64 / self.a_total_ns as f64)
-        }
-    }
-}
-
-fn span_aggregates(recs: &[Rec]) -> BTreeMap<String, (u64, u64)> {
-    let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for r in recs.iter().filter(|r| r.kind == "span_exit") {
-        let entry = agg.entry(r.name.clone()).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += r.elapsed_ns;
-    }
-    agg
-}
-
-/// Per-span-name (count, total time) deltas between two runs, sorted by
-/// absolute time delta, largest first.  Spans present in only one run
-/// appear with zeros on the other side.
-pub fn diff_spans(a: &[Rec], b: &[Rec]) -> Vec<DiffRow> {
-    let agg_a = span_aggregates(a);
-    let agg_b = span_aggregates(b);
-    let mut names: Vec<&String> = agg_a.keys().chain(agg_b.keys()).collect();
-    names.sort();
-    names.dedup();
-    let mut rows: Vec<DiffRow> = names
-        .into_iter()
-        .map(|name| {
-            let &(a_count, a_total_ns) = agg_a.get(name).unwrap_or(&(0, 0));
-            let &(b_count, b_total_ns) = agg_b.get(name).unwrap_or(&(0, 0));
-            DiffRow {
-                name: name.clone(),
-                a_count,
-                b_count,
-                a_total_ns,
-                b_total_ns,
-            }
-        })
-        .collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.delta_ns().unsigned_abs()));
-    rows
-}
-
-/// One row of the A/B counter delta table (`None` = not present in that
-/// run).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterDiffRow {
-    /// Counter/gauge name.
-    pub name: String,
-    /// Final value in run A.
-    pub a: Option<u64>,
-    /// Final value in run B.
-    pub b: Option<u64>,
-}
-
-/// End-of-session counter totals of two runs, side by side, sorted by
-/// name.
-pub fn diff_counters(a: &[Rec], b: &[Rec]) -> Vec<CounterDiffRow> {
-    let collect = |recs: &[Rec]| -> BTreeMap<String, u64> {
-        recs.iter()
-            .filter(|r| r.kind == "counter")
-            .map(|r| (r.name.clone(), r.field_u64("value").unwrap_or(0)))
-            .collect()
-    };
-    let ca = collect(a);
-    let cb = collect(b);
-    let mut names: Vec<&String> = ca.keys().chain(cb.keys()).collect();
-    names.sort();
-    names.dedup();
-    names
-        .into_iter()
-        .map(|name| CounterDiffRow {
-            name: name.clone(),
-            a: ca.get(name).copied(),
-            b: cb.get(name).copied(),
-        })
-        .collect()
 }
 
 /// One named histogram aggregated out of a trace's `histogram` records
@@ -827,37 +647,6 @@ mod tests {
         let pull = report.dirs.iter().find(|d| d.direction == "pull").unwrap();
         assert_eq!(pull.levels, 1);
         assert_eq!(report.heaviest[0], (1, "pull".to_owned(), 90));
-    }
-
-    #[test]
-    fn diff_ranks_by_absolute_delta() {
-        let a = sample_trace();
-        let b_text = [
-            line("span_enter", "script", 1, 0, None, ""),
-            line("span_enter", "bc", 2, 1, None, ""),
-            line("span_exit", "bc", 2, 1, Some(20_000), ""),
-            line("span_exit", "script", 1, 0, Some(21_000), ""),
-            line(
-                "counter",
-                "edges",
-                0,
-                0,
-                None,
-                "{\"value\":9,\"gauge\":false}",
-            ),
-        ]
-        .join("\n");
-        let b = read_trace(&b_text).unwrap();
-        let rows = diff_spans(&a, &b);
-        assert_eq!(rows[0].name, "bc", "{rows:?}");
-        assert_eq!(rows[0].delta_ns(), 12_000);
-        assert_eq!(rows[0].delta_pct(), Some(150.0));
-        let bfs = rows.iter().find(|r| r.name == "bfs").unwrap();
-        assert_eq!((bfs.a_count, bfs.b_count), (2, 0));
-
-        let counters = diff_counters(&a, &b);
-        let edges = counters.iter().find(|c| c.name == "edges").unwrap();
-        assert_eq!((edges.a, edges.b), (Some(7), Some(9)));
     }
 
     /// End-to-end: a real session's JSONL trace folds and round-trips.

@@ -151,18 +151,6 @@ impl Gauge {
         self.cell.store(v, Ordering::Relaxed);
     }
 
-    /// Raise the gauge to `max(current, v)` when tracing is enabled.
-    #[inline]
-    pub fn set_max(&'static self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        if !self.registered.load(Ordering::Relaxed) {
-            self.register();
-        }
-        self.cell.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn value(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)

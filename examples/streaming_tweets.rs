@@ -1,13 +1,15 @@
 //! Temporal analysis (§I-B "ongoing work examines the data's temporal
 //! aspects"; paper ref. [10]): replay a synthetic crisis tweet stream as
-//! batched edge updates and watch the graph's structure evolve —
-//! incremental clustering coefficients and connected components, no
-//! snapshot recomputation.
+//! batched edge insertions and watch the graph's structure evolve.  As
+//! in `graphct serve`, each batch ends in a freeze: the streaming graph
+//! is published as an epoch-tagged snapshot carrying its component
+//! membership, and the static kernels run on the frozen CSR.
 //!
 //! ```sh
 //! cargo run --release --example streaming_tweets
 //! ```
 
+use graphct::kernels::global_clustering;
 use graphct::prelude::*;
 use graphct::twitter::parse::mentions;
 
@@ -17,55 +19,35 @@ fn main() {
     let (tweets, _pool) = generate_stream(&profile.config, 42);
     println!("replaying {} tweets as an edge stream…\n", tweets.len());
 
-    // Intern users up front so vertex ids are stable across the replay.
     let mut labels = VertexLabels::new();
-    let mut updates: Vec<(u32, u32)> = Vec::new();
-    for t in &tweets {
-        let author = labels.intern(&t.author);
-        for m in mentions(&t.text) {
-            let target = labels.intern(m);
-            if target != author {
-                updates.push((author, target));
+    let mut graph = StreamingGraph::new(0);
+    let cell = SnapshotCell::new();
+
+    println!("epoch  edges-total  active-components  global-clustering");
+    for (i, batch) in tweets.chunks(tweets.len().div_ceil(10)).enumerate() {
+        for t in batch {
+            let author = labels.intern(&t.author);
+            for m in mentions(&t.text) {
+                let target = labels.intern(m);
+                graph.ensure_vertices(labels.len());
+                if target != author {
+                    graph.insert_edge(author, target).unwrap();
+                }
             }
         }
-    }
-    let n = labels.len();
-
-    let mut clustering = IncrementalClustering::new(n);
-    let mut components = IncrementalComponents::new(n);
-
-    let batch_size = updates.len().div_ceil(10);
-    println!("batch  edges-total  components  largest  global-clustering");
-    for (i, batch) in updates.chunks(batch_size).enumerate() {
-        for &(u, v) in batch {
-            clustering.apply(EdgeUpdate::Insert(u, v)).unwrap();
-            components.union(u, v);
-        }
-        let lcc = (0..n as u32)
-            .map(|v| components.component_size(v))
-            .max()
-            .unwrap_or(0);
+        cell.publish(graph.snapshot(), i as u64 + 1);
+        let snap = cell.load();
         println!(
-            "{:>5}  {:>11}  {:>10}  {:>7}  {:>17.5}",
-            i + 1,
-            clustering.graph().num_edges(),
-            components.num_components(),
-            lcc,
-            clustering.global_clustering(),
+            "{:>5}  {:>11}  {:>17}  {:>17.5}",
+            snap.epoch,
+            snap.graph.num_edges(),
+            snap.membership.active_components(),
+            global_clustering(&*snap.graph).unwrap(),
         );
     }
 
-    // The stream's final state agrees with a from-scratch static run.
-    let snapshot = clustering.graph().snapshot();
-    let static_cc = clustering_coefficients(&snapshot).unwrap();
-    let max_diff = (0..n as u32)
-        .map(|v| (clustering.clustering_coefficient(v) - static_cc[v as usize]).abs())
-        .fold(0.0f64, f64::max);
-    println!("\nmax deviation vs static recompute: {max_diff:.2e} (exactness check)");
-    let static_comps = ComponentSummary::compute(&snapshot);
-    assert_eq!(components.num_components(), static_comps.num_components());
-    println!(
-        "components agree with static kernel: {}",
-        static_comps.num_components()
-    );
+    // The last freeze's membership agrees with the static kernel.
+    let snap = cell.load();
+    assert_eq!(snap.membership.colors, connected_components(&*snap.graph));
+    println!("\nmembership agrees with the static components kernel");
 }

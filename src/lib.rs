@@ -26,10 +26,13 @@
 //!   Hamming distance, Kendall tau, power-law fitting.
 //! * [`script`](graphct_script) — the GraphCT analysis-script
 //!   interpreter with its stack-based graph memory.
+//! * [`stream`](graphct_stream) — the streaming graph under batched
+//!   edge updates and the epoch-tagged snapshots the live query plane
+//!   reads, each published with its component membership.
 //! * [`trace`](graphct_trace) — structured telemetry: spans, sharded
 //!   counters, JSON-lines / summary / Prometheus sinks, live registry
 //!   snapshots, the offline trace-analysis toolkit (flame / critical-path
-//!   / imbalance / diff), and the record-schema + Prometheus-exposition
+//!   / imbalance / histo), and the record-schema + Prometheus-exposition
 //!   validators (see DESIGN.md § Observability).
 //! * [`obs`](graphct_obs) — the live monitoring plane: std-only HTTP
 //!   exporter serving `/metrics`, `/healthz`, and `/progress` while
@@ -76,9 +79,7 @@ pub mod prelude {
     };
     pub use graphct_metrics::{fit_power_law, kendall_tau, top_k_indices, top_k_overlap};
     pub use graphct_script::Engine;
-    pub use graphct_stream::{
-        EdgeUpdate, IncrementalClustering, IncrementalComponents, StreamingGraph,
-    };
+    pub use graphct_stream::{EdgeUpdate, SnapshotCell, StreamingGraph};
     pub use graphct_twitter::{
         build_tweet_graph, generate_stream, mutual_mention_filter, DatasetProfile, StreamConfig,
         Tweet,
