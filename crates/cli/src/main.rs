@@ -165,9 +165,6 @@ fn stdout_error(e: std::io::Error) -> String {
 /// `writeln!` to the command's stdout writer, as a `run` error instead
 /// of `println!`'s panic.
 macro_rules! outln {
-    ($out:expr) => {
-        writeln!($out).map_err(stdout_error)
-    };
     ($out:expr, $($arg:tt)*) => {
         writeln!($out, $($arg)*).map_err(stdout_error)
     };
